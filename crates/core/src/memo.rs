@@ -5,8 +5,9 @@
 //! only one or two fact sections: every successor of one expansion
 //! shares its previous-input and state sections, and the hash-consed
 //! [`crate::intern::ConfigStore`] extends the sharing to *equal*
-//! sections across expansions. A rule body whose read-set touches only
-//! unchanged sections must therefore produce the same answer — the
+//! sections across expansions. A rule body (or target condition, or
+//! property FO component) whose read-set touches only unchanged
+//! sections must therefore produce the same answer — the
 //! [`QueryMemo`] here makes that observation operational by assigning
 //! every distinct section content an *epoch* and keying each prepared
 //! query's result on the epochs of exactly the sections in its
@@ -20,7 +21,7 @@
 //! ([`wave_spec::CompiledSpec::bind_params`] reads only input-kind
 //! relations, which `materialize` fills from those two sections).
 //! Plans never consult the active domain (only the interpreter fallback
-//! does, and interpreted rules are never memoized), so the section
+//! does, and interpreted queries are never memoized), so the section
 //! epochs plus the page marker determine the result exactly.
 //!
 //! Epochs are assigned by content, not by `Arc` pointer, so
@@ -36,7 +37,7 @@ use crate::config::{PseudoConfig, SharedFacts};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use wave_relalg::{ExecStats, Instance, InstanceStats, Params, PreparedQuery, Relation, Tuple};
-use wave_spec::{sections, CompiledSpec, ReadProfile, RuleExec, TargetExec};
+use wave_spec::{sections, CompiledComponent, CompiledSpec, ReadProfile, RuleExec, TargetExec};
 
 /// Insert caps keeping the tables bounded on pathological searches.
 /// Hitting a cap degrades hit-rate, never correctness.
@@ -100,11 +101,12 @@ enum MemoVal {
 
 /// Per-query cost roll-up, collected only when the engine is built
 /// with profiling on (`wave check --profile-out`). One entry per
-/// compiled query id; `calls` counts memo hits and executions alike.
+/// compiled query id — rules, targets and the check's property
+/// components; `calls` counts memo hits and executions alike.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryCost {
     pub qid: u32,
-    /// Rule/target evaluations routed through the engine (hits + execs).
+    /// Evaluations routed through the engine (hits + execs).
     pub calls: u64,
     pub memo_hits: u64,
     pub memo_misses: u64,
@@ -165,28 +167,32 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Build the engine for one search core. When `enabled`, every
-    /// plan-compiled rule and target is re-optimized against
-    /// cardinality statistics collected from `base`, and the result
-    /// memo is armed; otherwise both stay off (the `--naive-joins`
-    /// ablation and the `--interpret` baseline).
+    /// Build the engine for one search core over the spec's rules and
+    /// targets. When `enabled`, every plan-compiled rule and target is
+    /// re-optimized against cardinality statistics collected from
+    /// `base`, and the result memo is armed; otherwise both stay off
+    /// (the `--naive-joins` ablation and the `--interpret` baseline).
     pub fn build(spec: &CompiledSpec, base: &Instance, enabled: bool) -> QueryEngine {
-        QueryEngine::build_profiled(spec, base, enabled, false)
+        QueryEngine::build_profiled(spec, base, &[], enabled, false)
     }
 
-    /// [`QueryEngine::build`], optionally arming the per-qid cost
-    /// roll-ups ([`QueryEngine::query_costs`]). Profiling adds one
-    /// clock read per execution; answers are unaffected.
+    /// [`QueryEngine::build`], also covering a check's compiled property
+    /// `components` (query ids `num_queries..`), and optionally arming
+    /// the per-qid cost roll-ups ([`QueryEngine::query_costs`]).
+    /// Profiling adds one clock read per execution; answers are
+    /// unaffected.
     pub fn build_profiled(
         spec: &CompiledSpec,
         base: &Instance,
+        components: &[CompiledComponent],
         enabled: bool,
         profiled: bool,
     ) -> QueryEngine {
+        let num_queries = spec.num_queries as usize + components.len();
         let mut plans = Vec::new();
         if enabled {
             let stats = InstanceStats::collect(base);
-            plans.resize_with(spec.num_queries as usize, || None);
+            plans.resize_with(num_queries, || None);
             for page in &spec.pages {
                 for rule in
                     page.option_rules.iter().chain(&page.state_rules).chain(&page.action_rules)
@@ -201,10 +207,15 @@ impl QueryEngine {
                     }
                 }
             }
+            for c in components {
+                if let TargetExec::Plan(q) = &c.exec {
+                    plans[c.reads.qid as usize] = Some(q.optimized(&spec.schema, &stats));
+                }
+            }
         }
         let mut costs = Vec::new();
         if profiled {
-            costs.resize_with(spec.num_queries as usize, QueryCost::default);
+            costs.resize_with(num_queries, QueryCost::default);
             for (qid, c) in costs.iter_mut().enumerate() {
                 c.qid = qid as u32;
             }
@@ -304,8 +315,8 @@ impl QueryEngine {
         Ok(rows)
     }
 
-    /// Run a target condition, memoized on the section epochs of `cfg`;
-    /// `lazy` as in [`QueryEngine::run_rows`].
+    /// Run a target condition or property component, memoized on the
+    /// section epochs of `cfg`; `lazy` as in [`QueryEngine::run_rows`].
     pub fn run_bool<'i>(
         &self,
         reads: ReadProfile,

@@ -23,10 +23,18 @@ use crate::visibility::Visibility;
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use wave_fol::{answers, eval, prev_shadow_name, Bindings, EvalCtx, EvalError, SchemaResolver};
+use wave_fol::{
+    answers, eval, prev_shadow_name, Bindings, EvalCtx, EvalError, Formula, SchemaResolver,
+};
 use wave_obs::{SearchTracer, SpanSink, TraceEvent};
-use wave_relalg::{Instance, Params, RelKind, Relation, Tuple, Value};
-use wave_spec::{CompiledRule, CompiledSpec, Dataflow, PageId, RuleExec, TargetExec};
+use wave_relalg::{Instance, Params, PreparedQuery, RelKind, Relation, Tuple, Value};
+use wave_spec::{
+    CompiledComponent, CompiledRule, CompiledSpec, Dataflow, PageId, ReadProfile, RuleExec,
+    TargetExec,
+};
+
+/// Bindings handed to plans that read no parameter slot.
+static NO_PARAMS: Params = Params::none();
 
 /// Errors during successor computation.
 #[derive(Debug)]
@@ -99,7 +107,7 @@ pub struct SearchCtx<'a> {
 /// in it — but a configuration whose queries all hit the result memo
 /// needs none of the three. Deferring them behind `OnceCell`s means a
 /// fully memoized expansion never touches the instance at all.
-struct EvalState<'a> {
+pub(crate) struct EvalState<'a> {
     ctx: &'a SearchCtx<'a>,
     cfg: &'a PseudoConfig,
     inst: OnceCell<Instance>,
@@ -108,7 +116,7 @@ struct EvalState<'a> {
 }
 
 impl<'a> EvalState<'a> {
-    fn new(ctx: &'a SearchCtx<'a>, cfg: &'a PseudoConfig) -> EvalState<'a> {
+    pub(crate) fn new(ctx: &'a SearchCtx<'a>, cfg: &'a PseudoConfig) -> EvalState<'a> {
         EvalState {
             ctx,
             cfg,
@@ -123,8 +131,12 @@ impl<'a> EvalState<'a> {
         self.inst.get_or_init(|| self.cfg.materialize(self.ctx.spec, &self.ctx.base))
     }
 
-    /// Parameter bindings for the working instance.
-    fn params(&self) -> &Params {
+    /// Parameter bindings for running `q` on the working instance —
+    /// bound only when the plan reads a slot.
+    fn params_for(&self, q: &PreparedQuery) -> &Params {
+        if q.param_slots() == 0 {
+            return &NO_PARAMS;
+        }
         self.params.get_or_init(|| self.ctx.spec.bind_params(self.inst()))
     }
 
@@ -173,7 +185,7 @@ impl SearchCtx<'_> {
             if let RuleExec::Plan(q) = &rule.exec {
                 return Ok(self
                     .engine
-                    .run_rows(rule.reads, q, ev.cfg, || (ev.inst(), ev.params()))?);
+                    .run_rows(rule.reads, q, ev.cfg, || (ev.inst(), ev.params_for(q)))?);
             }
         }
         let ctx = EvalCtx {
@@ -191,39 +203,54 @@ impl SearchCtx<'_> {
         &self,
         t: &wave_spec::CompiledTarget,
         ev: &EvalState<'_>,
-        page_name: &str,
         spans: &mut P,
     ) -> Result<bool, SuccError> {
         if P::ENABLED {
             spans.enter("query", u64::from(t.reads.qid));
         }
-        let out = self.target_holds_inner(t, ev, page_name);
+        let out = self.sentence_holds(&t.exec, t.reads, &t.condition, ev);
         if P::ENABLED {
             spans.exit();
         }
         out
     }
 
-    fn target_holds_inner(
+    /// Evaluate an instantiated property component at `ev`'s
+    /// configuration, through the same engine path as a target
+    /// condition. (No span frame: the caller times the whole
+    /// assignment as one `eval` leaf.)
+    pub(crate) fn component_holds(
         &self,
-        t: &wave_spec::CompiledTarget,
+        c: &CompiledComponent,
         ev: &EvalState<'_>,
-        page_name: &str,
+    ) -> Result<bool, SuccError> {
+        self.sentence_holds(&c.exec, c.reads, &c.formula, ev)
+    }
+
+    /// Run a compiled sentence memoized through the engine, or — under
+    /// `--interpret` or when it did not compile — interpret `formula`
+    /// over the active domain of the working instance.
+    fn sentence_holds(
+        &self,
+        exec: &TargetExec,
+        reads: ReadProfile,
+        formula: &Formula,
+        ev: &EvalState<'_>,
     ) -> Result<bool, SuccError> {
         if self.use_plans {
-            if let TargetExec::Plan(q) = &t.exec {
+            if let TargetExec::Plan(q) = exec {
                 return Ok(self
                     .engine
-                    .run_bool(t.reads, q, ev.cfg, || (ev.inst(), ev.params()))?);
+                    .run_bool(reads, q, ev.cfg, || (ev.inst(), ev.params_for(q)))?);
             }
         }
         let ctx = EvalCtx {
             instance: ev.inst(),
             symbols: self.symbols,
-            current_page: Some(page_name),
+            current_page: Some(&self.spec.page(ev.cfg.page).name),
             domain: ev.domain(),
         };
-        Ok(eval(&t.condition, &ctx, &SchemaResolver(&self.spec.schema), &mut Bindings::new())?)
+        Ok(eval(formula, &ctx, &SchemaResolver(&self.spec.schema), &mut Bindings::new())?)
     }
 
     /// Is every value of the tuple in `C`? (States and actions keep only
@@ -254,13 +281,26 @@ impl SearchCtx<'_> {
         tracer: &mut T,
         spans: &mut P,
     ) -> Result<Vec<PseudoConfig>, SuccError> {
-        let ev = EvalState::new(self, cfg);
+        self.successors_in(&EvalState::new(self, cfg), prof, tracer, spans)
+    }
+
+    /// [`SearchCtx::successors`] of `ev`'s configuration, reusing
+    /// whatever `ev` already materialized (the search evaluates the
+    /// property's components on the same state first).
+    pub(crate) fn successors_in<T: SearchTracer, P: SpanSink>(
+        &self,
+        ev: &EvalState<'_>,
+        prof: &mut SearchProfile,
+        tracer: &mut T,
+        spans: &mut P,
+    ) -> Result<Vec<PseudoConfig>, SuccError> {
+        let cfg = ev.cfg;
         let page = self.spec.page(cfg.page);
 
         // 1) target page (statically dead conditions can never hold)
         let mut fired: Vec<PageId> = Vec::new();
         for t in &page.target_rules {
-            if self.slice.live(t.reads.qid) && self.target_holds(t, &ev, &page.name, spans)? {
+            if self.slice.live(t.reads.qid) && self.target_holds(t, ev, spans)? {
                 fired.push(t.target);
             }
         }
@@ -282,7 +322,7 @@ impl SearchCtx<'_> {
                 if !self.visibility.state_observable(rule.head) {
                     continue; // write-only state: nothing can read it
                 }
-                let tuples = self.run_rule(rule, &ev, &page.name, spans)?;
+                let tuples = self.run_rule(rule, ev, &page.name, spans)?;
                 let sink = if rule.insert { &mut inserts } else { &mut deletes };
                 for t in tuples {
                     if self.over_c(&t) || !rule.insert {
@@ -312,7 +352,7 @@ impl SearchCtx<'_> {
                 {
                     continue;
                 }
-                for t in self.run_rule(rule, &ev, &page.name, spans)? {
+                for t in self.run_rule(rule, ev, &page.name, spans)? {
                     if self.over_c(&t) {
                         state.insert((rule.head, t));
                     }

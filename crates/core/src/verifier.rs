@@ -33,7 +33,9 @@ use wave_fol::{check_input_bounded, constants as fo_constants, Formula};
 use wave_ltl::{extract, nnf, parse_property, Buchi, Property};
 use wave_obs::{NoopSpans, NoopTracer, SearchTracer, SpanSink, TraceEvent, NO_INDEX};
 use wave_relalg::{SymbolTable, Value};
-use wave_spec::{analyze, CompileSpecError, CompiledSpec, Dataflow, Spec};
+use wave_spec::{
+    analyze, CompileSpecError, CompiledComponent, CompiledSpec, Dataflow, Spec, TargetExec,
+};
 
 /// Verifier configuration.
 #[derive(Clone, Debug)]
@@ -677,6 +679,32 @@ impl PreparedCheck<'_> {
         )
     }
 
+    /// Compile instantiated components against the session symbol
+    /// table; component `i` gets query id `num_queries + i`.
+    fn compile_components(&self, instantiated: &[Formula]) -> Vec<CompiledComponent> {
+        let spec = &self.verifier.spec;
+        instantiated
+            .iter()
+            .zip(spec.num_queries..)
+            .map(|(f, qid)| spec.compile_component(f, &self.symbols, qid))
+            .collect()
+    }
+
+    /// Unit `unit`'s FO components, instantiated and compiled as its
+    /// search evaluates them.
+    pub fn components(&self, unit: usize) -> Vec<CompiledComponent> {
+        self.compile_components(&self.instantiate(unit).1)
+    }
+
+    /// `(compiled to plans, interpreted)` counts over unit `unit`'s
+    /// components — the component analogue of
+    /// [`CompiledSpec::plan_coverage`].
+    pub fn component_coverage(&self, unit: usize) -> (usize, usize) {
+        let components = self.components(unit);
+        let plans = components.iter().filter(|c| matches!(c.exec, TargetExec::Plan(_))).count();
+        (plans, components.len() - plans)
+    }
+
     /// Run one work unit: scan the cores of assignment `unit` (all of
     /// them, or the bitmap-counter sub-range `cores`) in deterministic
     /// order, stopping at the first violation or budget exhaustion.
@@ -750,6 +778,7 @@ impl PreparedCheck<'_> {
         let options = &self.verifier.options;
         let assignment = &self.assignments[unit];
         let (ctx_c_values, components, flow) = self.instantiate(unit);
+        let components = self.compile_components(&components);
 
         // step 3: Heuristic-1 cores
         let universe = core_universe(spec, &flow, &self.symbols, &ctx_c_values, options.heuristic1)
@@ -789,6 +818,7 @@ impl PreparedCheck<'_> {
             let qengine = QueryEngine::build_profiled(
                 spec,
                 &base,
+                &components,
                 options.use_plans && !options.naive_joins,
                 P::ENABLED,
             );

@@ -5,9 +5,11 @@
 //! over an explicit finite domain supplied by the caller (for
 //! pseudoconfigurations: `C ∪ C_V ∪ C_V'`, which subsumes the active
 //! domain). The plan compiler in [`mod@crate::compile`] is validated against
-//! this evaluator by property-based tests; the verifier uses it for the
-//! property's FO components and as a fallback for rule bodies the compiler
-//! cannot handle.
+//! this evaluator by property-based tests. The verifier runs compiled
+//! plans for rule bodies, target conditions and the property's FO
+//! components alike; it uses this evaluator as the fallback for formulas
+//! the compiler cannot handle, under the `--interpret` baseline, and as
+//! the independent oracle when replaying a counterexample.
 
 use crate::ast::{Formula, Term};
 use std::collections::HashMap;

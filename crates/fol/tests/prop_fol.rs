@@ -1,29 +1,40 @@
 //! Property-based cross-validation: the FO→plan compiler against the
-//! direct evaluator on randomly generated safe-range formulas and random
+//! direct evaluator on randomly generated safe-range formulas (rule-body
+//! shapes) and closed sentences (property-component shapes) over random
 //! instances — the two implementations of the logic must agree everywhere.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use wave_fol::{
-    answers, compile_query, eval, Bindings, CompileCtx, EvalCtx, Formula, SchemaResolver, SlotMap,
-    Term,
+    answers, compile_query, eval, Atom, Bindings, CompileCtx, EvalCtx, Formula, SchemaResolver,
+    SlotMap, Term,
 };
 use wave_relalg::{execute, Instance, Params, RelKind, Schema, SymbolTable, Tuple, Value};
 
-/// The test schema: r(a, b), s(a), q(a, b).
+/// Pages of the fixture: `@P` / `@Q` tests scan their nullary markers.
+const PAGES: [&str; 2] = ["P", "Q"];
+
+/// The test schema: r(a, b), s(a), q(a, b), and the page markers.
 fn schema() -> Arc<Schema> {
     let mut s = Schema::new();
     s.declare("r", 2, RelKind::Database).unwrap();
     s.declare("s", 1, RelKind::Database).unwrap();
     s.declare("q", 2, RelKind::Database).unwrap();
+    for p in PAGES {
+        s.declare(&CompileCtx::page_marker_name(p), 0, RelKind::Database).unwrap();
+    }
     Arc::new(s)
 }
 
 const CONSTS: [&str; 4] = ["c0", "c1", "c2", "c3"];
 
+/// A constant interned after [`CONSTS`] that no instance holds — like
+/// the `?i` parameters a property's components are instantiated with.
+const FRESH: &str = "?0";
+
 fn symbols() -> SymbolTable {
     let mut t = SymbolTable::new();
-    for c in CONSTS {
+    for c in CONSTS.into_iter().chain([FRESH]) {
         t.constant(c);
     }
     t
@@ -101,6 +112,49 @@ fn formula_strategy() -> impl Strategy<Value = Formula> {
         .prop_map(|(r, cs)| Formula::and(std::iter::once(r).chain(cs)))
 }
 
+fn atom(rel: &str, terms: Vec<Term>) -> Formula {
+    Formula::Atom(Atom { rel: rel.into(), prev: false, terms })
+}
+
+/// Random closed sentences of the shapes property components take:
+/// `@page` tests, ground atoms (also over [`FRESH`]), existential
+/// closures of the rule-body shapes and guarded universals, nested
+/// under closed negation, `->`, `&` and `|`.
+fn component_strategy() -> impl Strategy<Value = Formula> {
+    let var = |v: &str| Term::Var(v.to_string());
+    let konst =
+        (0usize..5).prop_map(|i| Term::Const(CONSTS.get(i).copied().unwrap_or(FRESH).to_string()));
+    // consequents of `forall x, y: body -> head`, free in at most x, y
+    let head = prop_oneof![
+        Just(atom("s", vec![var("x")])),
+        Just(atom("q", vec![var("y"), var("x")])),
+        konst.clone().prop_map(move |c| Formula::Eq(Term::Var("y".into()), c)),
+        Just(Formula::Exists(vec!["z".into()], Box::new(atom("r", vec![var("x"), var("z")])))),
+    ];
+    let leaf = prop_oneof![
+        (0usize..2).prop_map(|i| Formula::Page(PAGES[i].to_string())),
+        konst.clone().prop_map(|c| atom("s", vec![c])),
+        (konst.clone(), konst).prop_map(|(a, b)| atom("r", vec![a, b])),
+        formula_strategy().prop_map(|f| Formula::Exists(vec!["x".into(), "y".into()], Box::new(f))),
+        (formula_strategy(), head).prop_map(|(body, head)| {
+            Formula::Forall(
+                vec!["x".into(), "y".into()],
+                Box::new(Formula::Implies(Box::new(body), Box::new(head))),
+            )
+        }),
+    ];
+    leaf.prop_recursive(2, 16, 2, |inner| {
+        prop_oneof![
+            inner.clone(),
+            inner.clone().prop_map(Formula::not),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| Formula::Implies(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::and([a, b])),
+            (inner.clone(), inner).prop_map(|(a, b)| Formula::or([a, b])),
+        ]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -141,28 +195,32 @@ proptest! {
         prop_assert_eq!(a, b, "formula: {}", f);
     }
 
-    /// Existential closure: the compiled boolean agrees with the evaluator
-    /// on the sentence ∃x ∃y φ.
+    /// Closed sentences (the existential closure of a rule-body shape,
+    /// or any property-component shape): the compiled boolean agrees
+    /// with the evaluator on an instance standing on one page, with the
+    /// quantification domain covering every interned constant.
     #[test]
-    fn compiled_bool_agrees(raw in instance_strategy(), f in formula_strategy()) {
+    fn compiled_bool_agrees(
+        raw in instance_strategy(),
+        page in 0usize..2,
+        sentence in component_strategy(),
+    ) {
         let schema = schema();
         let syms = symbols();
-        let inst = build_instance(&schema, &raw);
-        let sentence = Formula::Exists(
-            vec!["x".into(), "y".into()],
-            Box::new(f),
-        );
+        let mut inst = build_instance(&schema, &raw);
+        let marker = schema.lookup(&CompileCtx::page_marker_name(PAGES[page])).unwrap();
+        inst.insert(marker, Tuple::from([]));
         let mut slots = SlotMap::new();
         let plan = {
             let mut ctx = CompileCtx { schema: &schema, symbols: &syms, slots: &mut slots };
             wave_fol::compile_bool(&sentence, &mut ctx).expect("compiles")
         };
         let by_plan = !execute(&plan, &inst, &Params::none()).unwrap().is_empty();
-        let domain: Vec<Value> = (0..4).map(Value).collect();
+        let domain: Vec<Value> = (0..syms.len() as u32).map(Value).collect();
         let ctx = EvalCtx {
             instance: &inst,
             symbols: &syms,
-            current_page: None,
+            current_page: Some(PAGES[page]),
             domain: &domain,
         };
         let by_eval =

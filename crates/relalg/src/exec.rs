@@ -24,8 +24,8 @@ pub struct Params {
 
 impl Params {
     /// No parameters.
-    pub fn none() -> Self {
-        Params::default()
+    pub const fn none() -> Self {
+        Params { values: Vec::new(), empty_flags: Vec::new() }
     }
 
     /// Build with `n` unbound slots.

@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use wave_fol::{
     check_input_bounded, check_option_rule, compile_bool, compile_query,
-    eliminate_input_quantifiers, prev_shadow_name, CompileCtx, CompileError, Formula, IbViolation,
-    OptionRuleViolation, RelKinds, SlotMap,
+    eliminate_input_quantifiers, free_vars, prev_shadow_name, CompileCtx, CompileError, Formula,
+    IbViolation, OptionRuleViolation, RelKinds, SlotMap,
 };
 use wave_relalg::{Instance, Params, PreparedQuery, RelId, RelKind, Schema, SymbolTable, Value};
 
@@ -60,11 +60,12 @@ pub mod sections {
 }
 
 /// A query's identity and read-set for the delta-driven memo: a dense id
-/// (unique across all rules and targets of one spec) plus a bitmask over
-/// [`sections`].
+/// (unique across all rules and targets of one spec, and past them the
+/// property components of one check) plus a bitmask over [`sections`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadProfile {
-    /// Dense query id, `0..CompiledSpec::num_queries`.
+    /// Dense query id: `0..CompiledSpec::num_queries` for rules and
+    /// targets, `num_queries + i` for a check's `i`-th FO component.
     pub qid: u32,
     /// Which sections the query's result depends on.
     pub mask: u8,
@@ -112,11 +113,65 @@ pub struct CompiledTarget {
     pub reads: ReadProfile,
 }
 
-/// Execution mode of a target condition (a sentence).
+/// Execution mode of a target condition or property component (a
+/// sentence).
 #[derive(Debug, Clone)]
 pub enum TargetExec {
     Plan(PreparedQuery),
     Interp,
+}
+
+/// An instantiated FO component of a property, compiled for the search
+/// the way target conditions are (see [`CompiledSpec::compile_component`]).
+#[derive(Debug, Clone)]
+pub struct CompiledComponent {
+    /// The instantiated sentence (what the interpreter evaluates).
+    pub formula: Formula,
+    pub exec: TargetExec,
+    /// Query id (`num_queries + i` for component `i`) and read-set.
+    pub reads: ReadProfile,
+}
+
+/// The section each relation and parameter slot of a spec reads — the
+/// mapping behind every plan's [`ReadProfile`] mask.
+#[derive(Debug, Clone)]
+struct SectionMap {
+    /// Section bit by relation id.
+    rels: Vec<u8>,
+    /// Section bit by parameter slot: the input (or previous-input)
+    /// section its binding derives from.
+    slots: Vec<u8>,
+}
+
+impl SectionMap {
+    fn new(schema: &Schema, shadows: &[RelId], markers: &[RelId], slots: &SlotMap) -> SectionMap {
+        let rels = (0..schema.len() as u32)
+            .map(RelId)
+            .map(|r| match schema.kind(r) {
+                RelKind::Database if markers.contains(&r) => sections::PAGE,
+                RelKind::Database => sections::EXT,
+                RelKind::State => sections::STATE,
+                RelKind::Action => sections::ACTIONS,
+                RelKind::Input | RelKind::InputConstant if shadows.contains(&r) => sections::PREV,
+                RelKind::Input | RelKind::InputConstant => sections::INPUT,
+            })
+            .collect();
+        let slots = slots
+            .slot_origins()
+            .iter()
+            .map(|(_, prev)| if *prev { sections::PREV } else { sections::INPUT })
+            .collect();
+        SectionMap { rels, slots }
+    }
+
+    /// Sections a plan's result depends on: those of the relations it
+    /// scans and of the parameter slots it consults.
+    fn mask(&self, q: &PreparedQuery) -> u8 {
+        let reads = q.reads();
+        let rels = reads.rels.iter().map(|r| self.rels[r.index()]);
+        let slots = reads.value_slots.iter().chain(&reads.empty_slots).map(|&s| self.slots[s]);
+        rels.chain(slots).fold(0, |mask, bit| mask | bit)
+    }
 }
 
 /// A compiled page schema.
@@ -183,8 +238,10 @@ pub struct CompiledSpec {
     /// Input-boundedness violations (empty ⇒ complete verification).
     pub ib_report: Vec<IbReport>,
     /// Total number of query ids handed out (rules + targets); memo
-    /// tables size their per-query storage from this.
+    /// tables size their per-query storage from this plus the number of
+    /// property components.
     pub num_queries: u32,
+    section_map: SectionMap,
 }
 
 impl CompiledSpec {
@@ -359,33 +416,13 @@ impl CompiledSpec {
         // compute its section read-set from the plan's scans and
         // parameter slots. Interpreted rules conservatively read
         // everything (they consult the active domain too).
-        let shadow_ids: std::collections::HashSet<RelId> = spec
+        let shadows: Vec<RelId> = spec
             .inputs
             .iter()
             .map(|i| schema.lookup(&prev_shadow_name(&i.name)).expect("declared above"))
             .collect();
-        let marker_ids: std::collections::HashSet<RelId> = markers.values().copied().collect();
-        let origins = slots.slot_origins();
-        let mask_of = |q: &PreparedQuery| -> u8 {
-            let reads = q.reads();
-            let mut mask = 0u8;
-            for r in &reads.rels {
-                mask |= match schema.kind(*r) {
-                    RelKind::Database if marker_ids.contains(r) => sections::PAGE,
-                    RelKind::Database => sections::EXT,
-                    RelKind::State => sections::STATE,
-                    RelKind::Action => sections::ACTIONS,
-                    RelKind::Input | RelKind::InputConstant if shadow_ids.contains(r) => {
-                        sections::PREV
-                    }
-                    RelKind::Input | RelKind::InputConstant => sections::INPUT,
-                };
-            }
-            for &slot in reads.value_slots.iter().chain(&reads.empty_slots) {
-                mask |= if origins[slot].1 { sections::PREV } else { sections::INPUT };
-            }
-            mask
-        };
+        let markers: Vec<RelId> = markers.values().copied().collect();
+        let section_map = SectionMap::new(&schema, &shadows, &markers, &slots);
         let mut num_queries = 0u32;
         for page in &mut pages {
             for r in page
@@ -395,7 +432,7 @@ impl CompiledSpec {
                 .chain(page.action_rules.iter_mut())
             {
                 let mask = match &r.exec {
-                    RuleExec::Plan(q) => mask_of(q),
+                    RuleExec::Plan(q) => section_map.mask(q),
                     RuleExec::Interp => sections::ALL,
                 };
                 r.reads = ReadProfile { qid: num_queries, mask };
@@ -403,7 +440,7 @@ impl CompiledSpec {
             }
             for t in page.target_rules.iter_mut() {
                 let mask = match &t.exec {
-                    TargetExec::Plan(q) => mask_of(q),
+                    TargetExec::Plan(q) => section_map.mask(q),
                     TargetExec::Interp => sections::ALL,
                 };
                 t.reads = ReadProfile { qid: num_queries, mask };
@@ -422,7 +459,44 @@ impl CompiledSpec {
             slots,
             ib_report,
             num_queries,
+            section_map,
         })
+    }
+
+    /// Compile an instantiated property component — a sentence whose
+    /// constants are interned in the check's session table `symbols` —
+    /// along the path target conditions take: input-quantifier
+    /// elimination, [`compile_bool`], [`PreparedQuery::prepare`]. The
+    /// component keeps the interpreter when the sentence is open, falls
+    /// outside the safe-range fragment, or would need a parameter slot
+    /// the spec never allocated ([`CompiledSpec::bind_params`] binds
+    /// only the spec's own slots).
+    pub fn compile_component(
+        &self,
+        formula: &Formula,
+        symbols: &SymbolTable,
+        qid: u32,
+    ) -> CompiledComponent {
+        let plan = if free_vars(formula).is_empty() {
+            let kinds = self.kinds();
+            let rewritten = eliminate_input_quantifiers(formula, &|r: &str| kinds.is_input(r));
+            let mut slots = self.slots.clone();
+            let mut ctx = CompileCtx { schema: &self.schema, symbols, slots: &mut slots };
+            compile_bool(&rewritten, &mut ctx)
+                .ok()
+                .filter(|_| slots.len() == self.slots.len())
+                .and_then(|plan| PreparedQuery::prepare(&self.schema, plan).ok())
+        } else {
+            None
+        };
+        let (exec, mask) = match plan {
+            Some(q) => {
+                let mask = self.section_map.mask(&q);
+                (TargetExec::Plan(q), mask)
+            }
+            None => (TargetExec::Interp, sections::ALL),
+        };
+        CompiledComponent { formula: formula.clone(), exec, reads: ReadProfile { qid, mask } }
     }
 
     /// True when the whole specification is input-bounded (verification is
@@ -610,6 +684,37 @@ mod tests {
         let action = &cp.action_rules[0];
         assert_ne!(action.reads.mask & sections::STATE, 0);
         assert_ne!(action.reads.mask & sections::INPUT, 0);
+    }
+
+    #[test]
+    fn components_compile_like_targets_or_keep_the_interpreter() {
+        let c = CompiledSpec::compile(tiny()).unwrap();
+        let mut symbols = c.symbols.clone();
+        symbols.constant("?0");
+        let qid = c.num_queries;
+        let compile =
+            |src: &str| c.compile_component(&wave_fol::parse_formula(src).unwrap(), &symbols, qid);
+
+        let page = compile("@CP");
+        assert!(matches!(page.exec, TargetExec::Plan(_)));
+        assert_eq!(page.reads, ReadProfile { qid, mask: sections::PAGE });
+        // a ground atom over a parameter constant the spec never saw
+        let state = compile(r#"logged("?0") -> (exists u: greet(u))"#);
+        assert!(matches!(state.exec, TargetExec::Plan(_)));
+        assert_eq!(state.reads.mask, sections::STATE | sections::ACTIONS);
+        // input atoms go through the spec's own parameter slots
+        let input = compile(r#"button("logout")"#);
+        let TargetExec::Plan(q) = &input.exec else { panic!("input test compiles") };
+        assert!(q.param_slots() > 0);
+        assert_eq!(input.reads.mask, sections::INPUT);
+
+        // interpreted: unsafe, open, or needing a slot the spec lacks
+        // (no rule reads the previous step's password)
+        for src in ["exists u: !logged(u)", "logged(u)", "exists q: prev pass(q) & user(q, q)"] {
+            let comp = compile(src);
+            assert!(matches!(comp.exec, TargetExec::Interp), "{src}");
+            assert_eq!(comp.reads, ReadProfile { qid, mask: sections::ALL }, "{src}");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ pub mod dsl;
 pub mod model;
 
 pub use compiled::{
-    sections, spec_kinds, CompileSpecError, CompiledPage, CompiledRule, CompiledSpec,
-    CompiledTarget, IbReport, PageId, ReadProfile, RuleExec, TargetExec,
+    sections, spec_kinds, CompileSpecError, CompiledComponent, CompiledPage, CompiledRule,
+    CompiledSpec, CompiledTarget, IbReport, PageId, ReadProfile, RuleExec, TargetExec,
 };
 pub use dataflow::{analyze, Dataflow, InputSrc, OptVar, Pos};
 pub use dsl::{parse_spec, print_spec};

@@ -147,17 +147,25 @@ impl fmt::Display for Json {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // every character that needs escaping is ASCII, so the runs between
+    // them are char-boundary slices written in one call each
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
+        }
+        start = i + 1;
     }
+    f.write_str(&s[start..])?;
     f.write_str("\"")
 }
 
@@ -178,7 +186,7 @@ impl std::error::Error for JsonError {}
 
 /// Parse one JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -189,6 +197,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -330,12 +339,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // copy one UTF-8 scalar verbatim
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the run up to the next quote or backslash in one
+                    // slice: both are ASCII, so the run ends on a char
+                    // boundary of the already-validated input
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -389,6 +401,26 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd".to_string());
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn long_strings_round_trip() {
+        let long: String = "wave spec text; ".repeat(70_000);
+        assert!(long.len() >= 1 << 20);
+        let v = Json::obj([("spec", Json::Str(long))]);
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_text_and_every_escape_round_trip() {
+        let mixed = "é\"ü\\→/\n日本\r\t\u{8}\u{c}\u{1}\u{1f}𝄞 end";
+        let v = Json::Str(mixed.to_string());
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        // every escape form the parser accepts, including ones the
+        // writer never emits
+        let src = r#""\"\\\/\b\f\n\r\t\u00e9\u65e5x→""#;
+        assert_eq!(parse(src).unwrap(), Json::Str("\"\\/\u{8}\u{c}\n\r\té日x→".to_string()));
+        assert!(parse(r#""unterminated→"#).is_err());
     }
 
     #[test]

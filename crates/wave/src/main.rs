@@ -21,7 +21,8 @@
 //!     --no-heuristic2          disable extension pruning
 //!     --paper-strict           strict Heuristic 2 (no option witnesses)
 //!     --exhaustive-equality    all C_∃ equality patterns
-//!     --interpret              direct FO evaluation (no compiled plans)
+//!     --interpret              direct FO evaluation of rules and property
+//!                              components (no compiled plans)
 //!     --no-replay              skip counterexample re-validation
 //!     --quiet                  verdict only
 //! ```
@@ -86,7 +87,8 @@ check options:
   --no-heuristic2         disable extension pruning (Heuristic 2)
   --paper-strict          strict Heuristic 2 (no option-support witnesses)
   --exhaustive-equality   enumerate all C_∃ equality patterns
-  --interpret             evaluate rules directly (no compiled plans)
+  --interpret             evaluate rules and property components directly
+                          (no compiled plans)
   --byte-keys             byte-keyed visit sets (interning ablation baseline)
   --naive-joins           nested-loop joins, no query memo (planner ablation
                           baseline; verdicts and statistics are unchanged)
@@ -457,13 +459,18 @@ fn cmd_check(rest: &[String]) -> ExitCode {
         }
     };
     if let Some(out) = &profile_out {
-        let report = profile_report(verifier.spec(), &v, &profiler);
+        let components = match verifier.prepare(&property) {
+            Ok(prepared) if prepared.num_units() > 0 => prepared.components(0),
+            _ => Vec::new(),
+        };
+        let catalog = query_catalog(verifier.spec(), &components);
+        let report = profile_report(&catalog, &v, &profiler);
         if let Err(e) = std::fs::write(out, format!("{report}\n")) {
             eprintln!("cannot write {out}: {e}");
             return ExitCode::from(2);
         }
         if !json_out && !quiet {
-            print_attribution_table(verifier.spec(), &v, &profiler, 10);
+            print_attribution_table(&catalog, &v, &profiler, 10);
             eprintln!("profile: wrote {out}");
         }
     }
@@ -554,10 +561,15 @@ fn print_spill_breakdown(stats: &wave::Stats) {
     }
 }
 
-/// Static label and plan shape for every query id of a compiled spec:
-/// `page/kind head` (rules) or `page/target page` (targets) plus the
-/// compiled plan's operator skeleton (`interp` for interpreted rules).
-fn query_catalog(spec: &wave::spec::CompiledSpec) -> Vec<(String, String)> {
+/// Static label and plan shape for every query id of a check: `page/kind
+/// head` (rules), `page/target page` (targets) or `property/component i`
+/// (the property's FO components, as instantiated for the first unit)
+/// plus the compiled plan's operator skeleton (`interp` for interpreted
+/// queries).
+fn query_catalog(
+    spec: &wave::spec::CompiledSpec,
+    components: &[wave::spec::CompiledComponent],
+) -> Vec<(String, String)> {
     let mut out = vec![(String::new(), String::new()); spec.num_queries as usize];
     for page in &spec.pages {
         let rules = [
@@ -584,18 +596,24 @@ fn query_catalog(spec: &wave::spec::CompiledSpec) -> Vec<(String, String)> {
             out[t.reads.qid as usize] = (label, shape);
         }
     }
+    for (i, c) in components.iter().enumerate() {
+        let shape = match &c.exec {
+            wave::spec::TargetExec::Plan(q) => q.plan().shape(),
+            wave::spec::TargetExec::Interp => "interp".to_string(),
+        };
+        out.push((format!("property/component {i}"), shape));
+    }
     out
 }
 
 /// The `--profile-out` report: phase timers, the span tree, folded
 /// stacks for flamegraph rendering, and the per-query attribution table.
 fn profile_report(
-    spec: &wave::spec::CompiledSpec,
+    catalog: &[(String, String)],
     v: &wave::Verification,
     profiler: &wave::core::SpanProfiler,
 ) -> wave_svc::Json {
     use wave_svc::Json;
-    let catalog = query_catalog(spec);
     let p = &v.stats.profile;
     let spans = profiler
         .rows()
@@ -655,7 +673,7 @@ fn profile_report(
 
 /// Print the top-`k` per-query cost attribution rows, hottest first.
 fn print_attribution_table(
-    spec: &wave::spec::CompiledSpec,
+    catalog: &[(String, String)],
     v: &wave::Verification,
     profiler: &wave::core::SpanProfiler,
     k: usize,
@@ -664,7 +682,6 @@ fn print_attribution_table(
         println!("profile: no query executions recorded");
         return;
     }
-    let catalog = query_catalog(spec);
     let mut rows: Vec<_> = v.stats.queries.iter().collect();
     rows.sort_by(|a, b| b.exec_ns.cmp(&a.exec_ns).then(a.qid.cmp(&b.qid)));
     println!(

@@ -6,7 +6,9 @@
 //!    span totals agree with the independently-kept [`SearchProfile`]
 //!    phase timers: the eval/intern/visit leaf spans are fed the same
 //!    measured intervals, so they match exactly; the expand span is
-//!    timed by its own enter/exit pair, so it must land within 5%.
+//!    timed by its own enter/exit pair, so it must land within 5%. The
+//!    per-query table covers the property's FO components too (query
+//!    ids past the spec's rules and targets).
 //! 2. **Folded-stack format** — `SpanProfiler::fold` and `wave prof
 //!    flame` emit `stack;frames self_ns` lines that inferno /
 //!    flamegraph.pl accept: one trailing integer, `;`-joined non-empty
@@ -69,6 +71,13 @@ fn attribution_agrees_with_phase_timers_on_e1_p5() {
     let ratio = span_ns / phase_ns;
     assert!((0.95..=1.05).contains(&ratio), "expand span/timer ratio drifted: {ratio}");
 
+    // the FO components are evaluated through the engine under their
+    // own query ids, past the spec's rules and targets
+    let num_queries = verifier.spec().num_queries;
+    let components: Vec<_> = v.stats.queries.iter().filter(|q| q.qid >= num_queries).collect();
+    assert!(!components.is_empty(), "no component qid in {:?}", v.stats.queries);
+    assert!(components.iter().all(|q| q.calls > 0 && q.calls == q.memo_hits + q.memo_misses));
+
     // the in-process fold is already inferno-shaped
     let folded = profiler.fold();
     assert!(!folded.is_empty(), "a profiled run must fold to at least one stack");
@@ -99,6 +108,7 @@ fn profile_out_and_prof_flame_roundtrip() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("HOLDS"));
     let report = std::fs::read_to_string(&profile).expect("profile written");
     assert!(report.contains("\"queries\""), "{report}");
+    assert!(report.contains("\"label\":\"property/component 0\""), "{report}");
 
     let flame = Command::new(env!("CARGO_BIN_EXE_wave"))
         .args(["prof", "flame", profile.to_str().unwrap()])

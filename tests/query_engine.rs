@@ -8,9 +8,15 @@
 //! `WAVE_TEST_JOINS=naive` (the CI matrix leg) flips the *default* side
 //! of each comparison to the ablation too, so the whole integration
 //! test binary also runs green with the engine disabled.
+//!
+//! The property's FO components run through the same engine (compiled
+//! plans, query ids past the spec's rules and targets), while
+//! counterexample replay re-derives every step's assignment with the
+//! interpreter — so replaying each suite's violations cross-checks the
+//! compiled components on every counterexample step.
 
 use wave::apps::AppSuite;
-use wave::{Verdict, Verifier, VerifyOptions};
+use wave::{parse_property, Verdict, Verifier, VerifyOptions};
 
 /// Heavyweights excluded from the *debug* sweeps, mirroring
 /// `store_tiered.rs` — release runs and the CI bench gate cover them.
@@ -121,6 +127,59 @@ fn e3_query_engine_matches_naive_on_every_property() {
 #[test]
 fn e4_query_engine_matches_naive_on_every_property() {
     optimized_matches_naive_everywhere("E4");
+}
+
+/// For every property of a suite: (a) every instantiated FO component of
+/// every unit compiles to a plan — a compiler change that silently falls
+/// back to the interpreter fails here — and (b) every violation's
+/// counterexample replays, recomputing each step's assignment with the
+/// interpreter.
+fn components_compile_and_violations_replay(name: &str) {
+    let suite = suite(name);
+    let options = VerifyOptions { naive_joins: default_is_naive(), ..Default::default() };
+    let verifier = Verifier::with_options(suite.spec.clone(), options).expect("suite compiles");
+    let mut replayed = 0;
+    for case in &suite.properties {
+        let property = parse_property(&case.text).expect("suite property parses");
+        let prepared = verifier.prepare(&property).expect("property prepares");
+        for unit in 0..prepared.num_units() {
+            let (plans, interpreted) = prepared.component_coverage(unit);
+            assert!(plans > 0, "{name}/{}: unit {unit} has no components", case.name);
+            assert_eq!(interpreted, 0, "{name}/{}: unit {unit} interprets", case.name);
+        }
+        if SWEEP_EXCLUDE.contains(&(name, case.name)) {
+            continue;
+        }
+        let v = verifier.check(&property).expect("check runs");
+        assert_eq!(v.verdict.holds(), case.holds, "{name}/{}: {:?}", case.name, v.verdict);
+        if let Verdict::Violated(ce) = &v.verdict {
+            verifier
+                .validate_counterexample(&property, ce)
+                .unwrap_or_else(|e| panic!("{name}/{}: replay failed: {e}", case.name));
+            replayed += 1;
+        }
+    }
+    assert!(replayed > 0, "{name}: no violation replayed");
+}
+
+#[test]
+fn e1_components_compile_and_violations_replay() {
+    components_compile_and_violations_replay("E1");
+}
+
+#[test]
+fn e2_components_compile_and_violations_replay() {
+    components_compile_and_violations_replay("E2");
+}
+
+#[test]
+fn e3_components_compile_and_violations_replay() {
+    components_compile_and_violations_replay("E3");
+}
+
+#[test]
+fn e4_components_compile_and_violations_replay() {
+    components_compile_and_violations_replay("E4");
 }
 
 /// The interpreter baseline ignores the ablation flag entirely: with
