@@ -13,6 +13,12 @@
 //!    input options by running `Vt`'s option rules, and for every input
 //!    choice compute the actions (kept over `C`) — yielding one successor
 //!    pseudoconfiguration per (extension, input choice).
+//!
+//! `SearchCtx::step` computes steps 1–3 as a `StepKey` and
+//! `SearchCtx::expand_page` runs step 4 from the key alone. The search
+//! meets far fewer distinct keys than configurations, so it keeps one
+//! interned successor list per key (see [`crate::ndfs`]); replay calls
+//! [`SearchCtx::successors`], which recomputes both halves every time.
 
 use crate::config::{canonicalize, no_facts, Facts, PseudoConfig, SharedFacts};
 use crate::domain::PagePool;
@@ -99,6 +105,20 @@ pub struct SearchCtx<'a> {
     /// Optimized-plan overlay and delta-driven result memo for this core
     /// (holds interior mutability, so a context is built per worker).
     pub engine: QueryEngine,
+}
+
+/// What step 4 of `succP` reads of a configuration: the target page, the
+/// updated state and the previous input kept at the target page — the
+/// outcome of steps 1–3 ([`SearchCtx::step`]). The successor list is a
+/// function of this key and the per-core [`SearchCtx`] alone, so every
+/// configuration whose step yields the same key has the same successors.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct StepKey {
+    page: PageId,
+    /// Canonical previous input (shadow relations).
+    prev: SharedFacts,
+    /// Canonical state.
+    state: SharedFacts,
 }
 
 /// Lazily materialized evaluation state for one pseudoconfiguration.
@@ -269,7 +289,7 @@ impl SearchCtx<'_> {
         tracer: &mut T,
         spans: &mut P,
     ) -> Result<Vec<PseudoConfig>, SuccError> {
-        self.expand_page(self.spec.home, Vec::new(), Vec::new(), prof, tracer, spans)
+        self.expand_page(&self.start_step(), prof, tracer, spans)
     }
 
     /// The paper's `succP`. `prof` collects the canonicalization share of
@@ -281,19 +301,25 @@ impl SearchCtx<'_> {
         tracer: &mut T,
         spans: &mut P,
     ) -> Result<Vec<PseudoConfig>, SuccError> {
-        self.successors_in(&EvalState::new(self, cfg), prof, tracer, spans)
+        let step = self.step(&EvalState::new(self, cfg), prof, spans)?;
+        self.expand_page(&step, prof, tracer, spans)
     }
 
-    /// [`SearchCtx::successors`] of `ev`'s configuration, reusing
-    /// whatever `ev` already materialized (the search evaluates the
-    /// property's components on the same state first).
-    pub(crate) fn successors_in<T: SearchTracer, P: SpanSink>(
+    /// The step key the start configurations expand from: the home page
+    /// with empty state and previous input.
+    pub(crate) fn start_step(&self) -> StepKey {
+        StepKey { page: self.spec.home, prev: no_facts(), state: no_facts() }
+    }
+
+    /// Steps 1–3 of `succP` at `ev`'s configuration: the target page, the
+    /// updated state, and the previous input kept at the target page.
+    /// [`SearchCtx::expand_page`] of the result is the successor list.
+    pub(crate) fn step<P: SpanSink>(
         &self,
         ev: &EvalState<'_>,
         prof: &mut SearchProfile,
-        tracer: &mut T,
         spans: &mut P,
-    ) -> Result<Vec<PseudoConfig>, SuccError> {
+    ) -> Result<StepKey, SuccError> {
         let cfg = ev.cfg;
         let page = self.spec.page(cfg.page);
 
@@ -377,25 +403,23 @@ impl SearchCtx<'_> {
                 self.visibility.prev_observable(vt, shadow).then(|| (shadow, t.clone()))
             })
             .collect();
-
-        // 4) extensions × options × input choices
         let prev = prof.time(|p| &mut p.canon_ns, || canonicalize(prev));
-        self.expand_page(vt, prev, st, prof, tracer, spans)
+        Ok(StepKey { page: vt, prev: Arc::new(prev), state: Arc::new(st) })
     }
 
-    /// Enumerate the configurations entering `page` with the given previous
-    /// input and state: every Heuristic-2 extension, every input choice,
-    /// with actions computed per choice. `prev` must already be canonical;
-    /// `state` is canonical by construction (it comes from a `BTreeSet`).
-    fn expand_page<T: SearchTracer, P: SpanSink>(
+    /// Step 4 of `succP`: enumerate the configurations entering the
+    /// step's page with its previous input and state — every Heuristic-2
+    /// extension, every input choice, with actions computed per choice.
+    /// Reads nothing of the configuration the step came from, so equal
+    /// keys give equal lists.
+    pub(crate) fn expand_page<T: SearchTracer, P: SpanSink>(
         &self,
-        page_id: PageId,
-        prev: Facts,
-        state: Facts,
+        step: &StepKey,
         prof: &mut SearchProfile,
         tracer: &mut T,
         spans: &mut P,
     ) -> Result<Vec<PseudoConfig>, SuccError> {
+        let page_id = step.page;
         let page = self.spec.page(page_id);
         let pool = &self.pools[page_id.index()];
         let universe = extension_universe(
@@ -405,22 +429,20 @@ impl SearchCtx<'_> {
             &self.c_values,
             page_id,
             pool,
-            &prev,
+            &step.prev,
             self.pruning,
             self.heuristic2,
         )?;
-        // shared across every successor of this expansion: each variant
-        // clones the Arc, not the facts
-        let prev: SharedFacts = Arc::new(prev);
-        let state: SharedFacts = Arc::new(state);
         let mut result = Vec::new();
         for ext in universe.variants() {
+            // prev and state are shared by every successor of the step:
+            // each variant clones the Arc, not the facts
             let shell = PseudoConfig {
                 page: page_id,
                 ext: Arc::new(ext),
                 input: no_facts(),
-                prev: Arc::clone(&prev),
-                state: Arc::clone(&state),
+                prev: Arc::clone(&step.prev),
+                state: Arc::clone(&step.state),
                 actions: no_facts(),
             };
             let ev = EvalState::new(self, &shell);

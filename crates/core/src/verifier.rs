@@ -18,7 +18,7 @@
 
 use crate::budget::{BudgetPool, DEFAULT_BUDGET_CHUNK};
 use crate::cancel::CancelToken;
-use crate::config::core_instance;
+use crate::config::{core_instance, Facts};
 use crate::domain::{assignments, build_pools, relevant_constants, Assignment, ParamMode};
 use crate::memo::{QueryCost, QueryEngine};
 use crate::ndfs::{Budget, CounterExample, Ndfs, SearchLimits, SearchResult};
@@ -705,6 +705,43 @@ impl PreparedCheck<'_> {
         (plans, components.len() - plans)
     }
 
+    /// The search context over one database core of a unit, given the
+    /// unit's dataflow, its sorted constant set `C` and its compiled
+    /// components; `profiled` turns on the engine's per-query costs.
+    fn core_ctx<'c>(
+        &'c self,
+        flow: &'c Dataflow,
+        c_values: &[Value],
+        components: &[CompiledComponent],
+        core: &Facts,
+        profiled: bool,
+    ) -> SearchCtx<'c> {
+        let spec = &self.verifier.spec;
+        let options = &self.verifier.options;
+        let base = core_instance(spec, core);
+        let engine = QueryEngine::build_profiled(
+            spec,
+            &base,
+            components,
+            options.use_plans && !options.naive_joins,
+            profiled,
+        );
+        SearchCtx {
+            spec,
+            symbols: &self.symbols,
+            pools: &self.pools,
+            flow,
+            c_values: c_values.to_vec(),
+            base,
+            pruning: options.pruning,
+            heuristic2: options.heuristic2,
+            use_plans: options.use_plans,
+            visibility: self.visibility.clone(),
+            slice: std::sync::Arc::clone(&self.slice),
+            engine,
+        }
+    }
+
     /// Run one work unit: scan the cores of assignment `unit` (all of
     /// them, or the bitmap-counter sub-range `cores`) in deterministic
     /// order, stopping at the first violation or budget exhaustion.
@@ -814,28 +851,7 @@ impl PreparedCheck<'_> {
                 spans.enter("core", bitmap);
             }
             store.clear_visits();
-            let base = core_instance(spec, &core);
-            let qengine = QueryEngine::build_profiled(
-                spec,
-                &base,
-                &components,
-                options.use_plans && !options.naive_joins,
-                P::ENABLED,
-            );
-            let ctx = SearchCtx {
-                spec,
-                symbols: &self.symbols,
-                pools: &self.pools,
-                flow: &flow,
-                c_values: sorted_c.clone(),
-                base,
-                pruning: options.pruning,
-                heuristic2: options.heuristic2,
-                use_plans: options.use_plans,
-                visibility: self.visibility.clone(),
-                slice: std::sync::Arc::clone(&self.slice),
-                engine: qengine,
-            };
+            let ctx = self.core_ctx(&flow, &sorted_c, &components, &core, P::ENABLED);
             // every core's search leases from the same shared pool, so
             // no per-core budget arithmetic is needed here
             let engine = Ndfs::new(
@@ -1152,6 +1168,109 @@ mod tests {
         assert!(text.contains("cycle repeats"), "{text}");
     }
 
+    /// Reads the previous input in a delete rule, and emits an action
+    /// that the properties below mention — so previous inputs, deletes
+    /// and actions all reach the step key or the successor list.
+    fn cart() -> Verifier {
+        Verifier::new(
+            parse_spec(
+                r#"
+            spec cart {
+              database { item(x); }
+              state { incart(x); }
+              action { bought(x); }
+              inputs { pick(x); button(x); }
+              home A;
+              page A {
+                inputs { pick, button }
+                options pick(x) <- item(x);
+                options button(x) <- x = "add";
+                options button(x) <- x = "drop";
+                options button(x) <- x = "buy";
+                insert incart(x) <- pick(x) & button("add");
+                delete incart(x) <- prev pick(x) & button("drop");
+                action bought(x) <- incart(x) & button("buy");
+                target B <- button("buy") & (exists x: incart(x));
+              }
+              page B {
+                inputs { button }
+                options button(x) <- x = "back";
+                target A <- button("back");
+              }
+            }
+        "#,
+            )
+            .unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// Visit every configuration reachable over every core of every unit
+    /// breadth-first with the uncached `succP`, group the configurations
+    /// by step key, and check that a key always yields the same successor
+    /// list — the invariant that lets the search share one interned list
+    /// per key. Returns how many configurations met an already-seen key.
+    fn assert_step_key_invariant(verifier: &Verifier, property: &str) -> usize {
+        use crate::config::PseudoConfig;
+        use crate::succ::{EvalState, StepKey};
+        use std::collections::{HashMap, HashSet, VecDeque};
+
+        let prepared = verifier.prepare(&parse_property(property).unwrap()).unwrap();
+        let mut repeats = 0;
+        for unit in 0..prepared.num_units() {
+            let (c_values, components, flow) = prepared.instantiate(unit);
+            let components = prepared.compile_components(&components);
+            let mut sorted_c = c_values.clone();
+            sorted_c.sort_unstable();
+            let universe =
+                core_universe(&verifier.spec, &flow, &prepared.symbols, &c_values, true).unwrap();
+            for bitmap in 0..universe.subset_count() {
+                let core = universe.decode(bitmap);
+                let ctx = prepared.core_ctx(&flow, &sorted_c, &components, &core, false);
+                let (mut prof, mut spans) = (SearchProfile::default(), NoopSpans);
+                let mut queue: VecDeque<PseudoConfig> =
+                    ctx.initial_configs(&mut prof, &mut NoopTracer, &mut spans).unwrap().into();
+                let mut seen: HashSet<PseudoConfig> = HashSet::new();
+                let mut lists: HashMap<StepKey, Vec<PseudoConfig>> = HashMap::new();
+                while let Some(cfg) = queue.pop_front() {
+                    if !seen.insert(cfg.clone()) {
+                        continue;
+                    }
+                    let succs =
+                        ctx.successors(&cfg, &mut prof, &mut NoopTracer, &mut spans).unwrap();
+                    let key = ctx.step(&EvalState::new(&ctx, &cfg), &mut prof, &mut spans).unwrap();
+                    match lists.get(&key) {
+                        Some(first) => {
+                            assert_eq!(first, &succs, "{property}: step key {key:?}");
+                            repeats += 1;
+                        }
+                        None => {
+                            lists.insert(key, succs.clone());
+                        }
+                    }
+                    queue.extend(succs);
+                }
+            }
+        }
+        repeats
+    }
+
+    #[test]
+    fn configurations_with_one_step_key_share_their_successors() {
+        let cases: [(Verifier, &str); 6] = [
+            (pingpong(), "G (@A -> X (@A | @B))"),
+            (login(), "forall u: G (greet(u) -> logged(u))"),
+            (login(), "G !@CP"),
+            (Verifier::new(super::replay_tests::spec()).unwrap(), "forall x: G !seen(x)"),
+            (cart(), "forall x: G (bought(x) -> incart(x))"),
+            (cart(), "forall x: G (prev pick(x) -> F bought(x))"),
+        ];
+        for (verifier, property) in &cases {
+            let repeats = assert_step_key_invariant(verifier, property);
+            assert!(repeats > 0, "{property}: no two configurations shared a step key");
+        }
+    }
+
     #[test]
     fn non_input_bounded_property_marks_incomplete() {
         // quantifier over a database relation
@@ -1167,7 +1286,7 @@ mod replay_tests {
     use wave_ltl::parse_property;
     use wave_spec::parse_spec;
 
-    fn spec() -> wave_spec::Spec {
+    pub(super) fn spec() -> wave_spec::Spec {
         parse_spec(
             r#"
             spec replaytest {

@@ -10,6 +10,17 @@
 //! components alike; it uses this evaluator as the fallback for formulas
 //! the compiler cannot handle, under the `--interpret` baseline, and as
 //! the independent oracle when replaying a counterexample.
+//!
+//! **Guarded `∃`.** An existential whose body is a positive atom, or a
+//! conjunction with one, that mentions quantified variables does not try
+//! all `|domain|^k` bindings: it scans that guard relation's tuples,
+//! binds the variables they hold (only to values in the domain), lets
+//! the rest range over the domain, and evaluates the full body — when
+//! the relation has fewer tuples than the bindings it replaces. A
+//! binding no tuple produces makes the guard atom false, so the answer
+//! is the enumeration's — replaying `exists c, n, a: paydone(f, p, c, n,
+//! a)` costs one pass over `paydone` instead of `|domain|^3` probes.
+//! `∀` and [`answers`] enumerate the domain as before.
 
 use crate::ast::{Formula, Term};
 use std::collections::HashMap;
@@ -217,33 +228,150 @@ fn quantify(
     env: &mut Bindings,
     universal: bool,
 ) -> Result<bool, EvalError> {
-    fn go(
-        vars: &[String],
-        body: &Formula,
-        ctx: &EvalCtx<'_>,
-        resolver: &impl RelResolver,
-        env: &mut Bindings,
-        universal: bool,
-    ) -> Result<bool, EvalError> {
-        match vars.split_first() {
-            None => eval(body, ctx, resolver, env),
-            Some((v, rest)) => {
-                for &val in ctx.domain {
-                    env.push(v, val);
-                    let r = go(rest, body, ctx, resolver, env, universal)?;
-                    env.pop();
-                    if universal && !r {
-                        return Ok(false);
-                    }
-                    if !universal && r {
-                        return Ok(true);
-                    }
-                }
-                Ok(universal)
-            }
+    if !universal {
+        if let Some((rel, cols)) = guard(vars, body, ctx, resolver) {
+            return exists_guarded(vars, body, ctx, resolver, env, rel, &cols);
         }
     }
-    go(vars, body, ctx, resolver, env, universal)
+    enumerate(vars, body, ctx, resolver, env, universal)
+}
+
+/// Bind `vars` to every tuple of `ctx.domain`^k in order, evaluating
+/// `body` under each; stops at the first witness (`∃`) or
+/// counterexample (`∀`).
+fn enumerate(
+    vars: &[String],
+    body: &Formula,
+    ctx: &EvalCtx<'_>,
+    resolver: &impl RelResolver,
+    env: &mut Bindings,
+    universal: bool,
+) -> Result<bool, EvalError> {
+    match vars.split_first() {
+        None => eval(body, ctx, resolver, env),
+        Some((v, rest)) => {
+            for &val in ctx.domain {
+                env.push(v, val);
+                let r = enumerate(rest, body, ctx, resolver, env, universal);
+                env.pop();
+                let r = r?;
+                if universal && !r {
+                    return Ok(false);
+                }
+                if !universal && r {
+                    return Ok(true);
+                }
+            }
+            Ok(universal)
+        }
+    }
+}
+
+/// The guard of `∃vars: body`: a positive atom that is the body or one
+/// of its top-level conjuncts and mentions quantified variables — the
+/// one mentioning the most of them, the first on ties. Returns its
+/// relation and, per column, the index in `vars` of the variable the
+/// column holds. `None` when there is no such atom, when `vars` repeats
+/// a name, when the atom does not resolve (the enumeration then reports
+/// the error as before), or when the relation has no fewer tuples than
+/// the domain bindings of the variables it covers (scanning it would
+/// evaluate the body at least as often as the enumeration).
+fn guard(
+    vars: &[String],
+    body: &Formula,
+    ctx: &EvalCtx<'_>,
+    resolver: &impl RelResolver,
+) -> Option<(RelId, Vec<Option<usize>>)> {
+    if vars.iter().enumerate().any(|(i, v)| vars[..i].contains(v)) {
+        return None;
+    }
+    let conjuncts = match body {
+        Formula::Atom(_) => std::slice::from_ref(body),
+        Formula::And(xs) => xs.as_slice(),
+        _ => return None,
+    };
+    let mut best: Option<(usize, RelId, Vec<Option<usize>>)> = None;
+    for c in conjuncts {
+        let Formula::Atom(a) = c else { continue };
+        let cols: Vec<Option<usize>> = a
+            .terms
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => vars.iter().position(|q| q == v),
+                _ => None,
+            })
+            .collect();
+        let covered = (0..vars.len()).filter(|i| cols.contains(&Some(*i))).count();
+        if covered == 0 || best.as_ref().is_some_and(|(n, _, _)| *n >= covered) {
+            continue;
+        }
+        let Some(id) = resolver.resolve(&a.rel, a.prev) else { continue };
+        if ctx.instance.rel(id).arity() != a.terms.len() {
+            continue;
+        }
+        best = Some((covered, id, cols));
+    }
+    best.filter(|(covered, id, _)| {
+        ctx.instance.rel(*id).len() < ctx.domain.len().saturating_pow(*covered as u32)
+    })
+    .map(|(_, id, cols)| (id, cols))
+}
+
+/// `∃vars: body` driven by its guard relation: every tuple binds the
+/// variables its columns hold (skipping tuples that disagree on a
+/// repeated variable or carry a value outside `ctx.domain`), the
+/// remaining variables range over the domain, and the full body decides.
+/// A binding the guard's tuples miss falsifies the guard atom, hence
+/// the body, so the answer equals the plain enumeration's — also for a
+/// domain smaller than the active domain.
+fn exists_guarded(
+    vars: &[String],
+    body: &Formula,
+    ctx: &EvalCtx<'_>,
+    resolver: &impl RelResolver,
+    env: &mut Bindings,
+    rel: RelId,
+    cols: &[Option<usize>],
+) -> Result<bool, EvalError> {
+    let sorted = ctx.domain.windows(2).all(|w| w[0] < w[1]);
+    let in_domain = |v: &Value| {
+        if sorted {
+            ctx.domain.binary_search(v).is_ok()
+        } else {
+            ctx.domain.contains(v)
+        }
+    };
+    let rest: Vec<String> =
+        (0..vars.len()).filter(|i| !cols.contains(&Some(*i))).map(|i| vars[i].clone()).collect();
+    let mut bound: Vec<Option<Value>> = vec![None; vars.len()];
+    'tuples: for t in ctx.instance.rel(rel).iter() {
+        bound.fill(None);
+        for (col, q) in cols.iter().enumerate() {
+            let Some(q) = *q else { continue };
+            let v = t.get(col);
+            match bound[q] {
+                Some(w) if w != v => continue 'tuples,
+                Some(_) => {}
+                None if in_domain(&v) => bound[q] = Some(v),
+                None => continue 'tuples,
+            }
+        }
+        let mut pushed = 0;
+        for (q, v) in bound.iter().enumerate() {
+            if let Some(v) = *v {
+                env.push(&vars[q], v);
+                pushed += 1;
+            }
+        }
+        let r = enumerate(&rest, body, ctx, resolver, env, false);
+        for _ in 0..pushed {
+            env.pop();
+        }
+        if r? {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Compute all satisfying assignments of `f`'s listed free variables over

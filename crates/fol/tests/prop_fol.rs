@@ -2,12 +2,15 @@
 //! direct evaluator on randomly generated safe-range formulas (rule-body
 //! shapes) and closed sentences (property-component shapes) over random
 //! instances — the two implementations of the logic must agree everywhere.
+//! The evaluator's guarded `∃` (a scan of the guard relation instead of
+//! the domain enumeration) is checked against a plain loop over the
+//! domain as well.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use wave_fol::{
-    answers, compile_query, eval, Atom, Bindings, CompileCtx, EvalCtx, Formula, SchemaResolver,
-    SlotMap, Term,
+    answers, compile_query, eval, prev_shadow_name, Atom, Bindings, CompileCtx, EvalCtx, Formula,
+    SchemaResolver, SlotMap, Term,
 };
 use wave_relalg::{execute, Instance, Params, RelKind, Schema, SymbolTable, Tuple, Value};
 
@@ -153,6 +156,171 @@ fn component_strategy() -> impl Strategy<Value = Formula> {
             (inner.clone(), inner).prop_map(|(a, b)| Formula::or([a, b])),
         ]
     })
+}
+
+/// Variables of the guarded-`∃` fixture: each is bound in the outer
+/// environment, so a quantifier over some of them shadows the rest.
+const GUARD_VARS: [&str; 4] = ["x", "y", "z", "w"];
+
+/// The guarded-`∃` schema: the [`schema`] relations plus an input
+/// relation `u(a)` and its previous-input shadow.
+fn guard_schema() -> Arc<Schema> {
+    let mut s = Schema::new();
+    s.declare("r", 2, RelKind::Database).unwrap();
+    s.declare("s", 1, RelKind::Database).unwrap();
+    s.declare("q", 2, RelKind::Database).unwrap();
+    s.declare("u", 1, RelKind::Input).unwrap();
+    s.declare(&prev_shadow_name("u"), 1, RelKind::Input).unwrap();
+    Arc::new(s)
+}
+
+/// Terms: mostly the four variables, else a constant or `u`'s field
+/// (current or previous), which has a value only when `u` holds one
+/// tuple.
+fn guard_term() -> impl Strategy<Value = Term> {
+    let var = (0usize..4).prop_map(|i| Term::Var(GUARD_VARS[i].to_string()));
+    prop_oneof![
+        var.clone(),
+        var.clone(),
+        var,
+        (0usize..5).prop_map(|i| Term::Const(CONSTS.get(i).copied().unwrap_or(FRESH).to_string())),
+        any::<bool>().prop_map(|prev| Term::Field { rel: "u".into(), col: 0, prev }),
+    ]
+}
+
+/// Atoms over the guarded-`∃` schema, `prev u` included, two-place ones
+/// most often; those repeat a variable whenever both terms draw the
+/// same one.
+fn guard_atom() -> impl Strategy<Value = Formula> {
+    let binary = |rel: &'static str| {
+        (guard_term(), guard_term()).prop_map(move |(a, b)| atom(rel, vec![a, b]))
+    };
+    prop_oneof![
+        binary("r"),
+        binary("r"),
+        binary("q"),
+        binary("q"),
+        guard_term().prop_map(|a| atom("s", vec![a])),
+        (guard_term(), any::<bool>()).prop_map(|(a, prev)| {
+            Formula::Atom(Atom { rel: "u".into(), prev, terms: vec![a] })
+        }),
+    ]
+}
+
+/// Quantifier prefixes over x, y, z: distinct names in varying order,
+/// and one repeat (which the evaluator enumerates instead of guarding).
+const PREFIXES: [&[&str]; 8] = [
+    &["x"],
+    &["y"],
+    &["x", "y"],
+    &["y", "x"],
+    &["z", "x"],
+    &["x", "y", "z"],
+    &["z", "y", "x"],
+    &["x", "x"],
+];
+
+fn guard_vars() -> impl Strategy<Value = Vec<String>> {
+    (0usize..PREFIXES.len()).prop_map(|i| PREFIXES[i].iter().map(|v| v.to_string()).collect())
+}
+
+/// `∃` bodies: mostly a conjunction of positive and negated atoms,
+/// comparisons and nested quantifiers; now and then a disjunction, which
+/// has no guard.
+fn guard_body() -> impl Strategy<Value = Formula> {
+    let conjunct = prop_oneof![
+        guard_atom(),
+        guard_atom(),
+        guard_atom(),
+        guard_atom().prop_map(Formula::not),
+        (guard_term(), guard_term()).prop_map(|(a, b)| Formula::Eq(a, b)),
+        (guard_term(), guard_term()).prop_map(|(a, b)| Formula::Ne(a, b)),
+        (guard_vars(), guard_atom(), guard_atom())
+            .prop_map(|(vs, a, b)| Formula::Exists(vs, Box::new(Formula::and([a, b])))),
+        (guard_vars(), guard_atom(), guard_atom()).prop_map(|(vs, a, b)| {
+            Formula::Forall(vs, Box::new(Formula::Implies(Box::new(a), Box::new(b))))
+        }),
+    ];
+    let conjunction = prop::collection::vec(conjunct, 1..4).prop_map(Formula::and);
+    prop_oneof![
+        conjunction.clone(),
+        conjunction.clone(),
+        conjunction,
+        (guard_atom(), guard_atom()).prop_map(|(a, b)| Formula::or([a, b])),
+    ]
+}
+
+/// `∃vars: body` by brute force: bind `vars` to every tuple of
+/// `domain`^k (later names shadowing earlier ones, as in the evaluator)
+/// on top of `outer`, and evaluate `body` under each binding.
+fn exists_by_domain(
+    vars: &[String],
+    body: &Formula,
+    ctx: &EvalCtx<'_>,
+    resolver: &SchemaResolver<'_>,
+    outer: &[(String, Value)],
+) -> bool {
+    let k = vars.len() as u32;
+    let n = ctx.domain.len();
+    (0..n.pow(k)).any(|mut code| {
+        let mut pairs = outer.to_vec();
+        for v in vars {
+            pairs.push((v.clone(), ctx.domain[code % n]));
+            code /= n;
+        }
+        eval(body, ctx, resolver, &mut Bindings::from_pairs(pairs)).unwrap()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The guarded `∃` — scanning the guard relation's tuples instead of
+    /// the domain — agrees with the brute-force enumeration, also when
+    /// the domain leaves out values of the active domain or is unsorted.
+    #[test]
+    fn guarded_exists_agrees_with_domain_enumeration(
+        raw in (
+            prop::collection::vec((0u32..5, 0u32..5), 0..8),
+            prop::collection::vec(0u32..5, 0..4),
+            prop::collection::vec((0u32..5, 0u32..5), 0..8),
+        ),
+        inputs in (
+            prop::collection::vec(0u32..5, 0..3),
+            prop::collection::vec(0u32..5, 0..3),
+        ),
+        (domain_mask, descending) in (0u32..32, any::<bool>()),
+        outer in prop::collection::vec(0u32..5, 4),
+        vars in guard_vars(),
+        body in guard_body(),
+    ) {
+        let schema = guard_schema();
+        let syms = symbols();
+        let mut inst = build_instance(&schema, &raw);
+        let (u, prev_u) = inputs;
+        let uid = schema.lookup("u").unwrap();
+        let pid = schema.lookup(&prev_shadow_name("u")).unwrap();
+        for a in u {
+            inst.insert(uid, Tuple::from([Value(a)]));
+        }
+        for a in prev_u {
+            inst.insert(pid, Tuple::from([Value(a)]));
+        }
+        let mut domain: Vec<Value> =
+            (0..5).filter(|i| domain_mask & (1 << i) != 0).map(Value).collect();
+        if descending {
+            domain.reverse(); // callers need not sort the domain
+        }
+        let ctx = EvalCtx { instance: &inst, symbols: &syms, current_page: None, domain: &domain };
+        let resolver = SchemaResolver(&schema);
+        let outer: Vec<(String, Value)> =
+            GUARD_VARS.iter().zip(outer).map(|(v, a)| (v.to_string(), Value(a))).collect();
+        let sentence = Formula::Exists(vars.clone(), Box::new(body.clone()));
+        let guarded =
+            eval(&sentence, &ctx, &resolver, &mut Bindings::from_pairs(outer.clone())).unwrap();
+        let brute = exists_by_domain(&vars, &body, &ctx, &resolver, &outer);
+        prop_assert_eq!(guarded, brute, "{} over domain {:?}", sentence, domain);
+    }
 }
 
 proptest! {

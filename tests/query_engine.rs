@@ -92,6 +92,50 @@ fn default_is_naive() -> bool {
     std::env::var("WAVE_TEST_JOINS").as_deref() == Ok("naive")
 }
 
+/// The committed `BENCH_query.json` rows.
+fn committed_query_rows() -> Vec<wave_svc::Json> {
+    let text =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json"))
+            .expect("BENCH_query.json is committed at the repo root");
+    let json = wave_svc::parse_json(&text).expect("bench file parses");
+    json.get("rows").and_then(wave_svc::Json::as_array).expect("rows array").to_vec()
+}
+
+/// Every outcome's verdict and search counters equal the committed
+/// `joins=opt` row of its property — the columns `wave bench --check`
+/// gates, pinned under `cargo test` too.
+fn assert_matches_committed_rows(suite: &AppSuite, outcomes: &[Outcome]) {
+    use wave_svc::Json;
+    let rows = committed_query_rows();
+    for o in outcomes {
+        let row = rows
+            .iter()
+            .find(|r| {
+                r.get("suite").and_then(Json::as_str) == Some(suite.name)
+                    && r.get("prop").and_then(Json::as_str) == Some(o.name.as_str())
+                    && r.get("joins").and_then(Json::as_str) == Some("opt")
+            })
+            .unwrap_or_else(|| panic!("{}/{}: no committed joins=opt row", suite.name, o.name));
+        let measured = [
+            ("verdict", Json::from(o.verdict.as_str())),
+            ("configs", Json::from(o.configs)),
+            ("cores", Json::from(o.cores)),
+            ("assignments", Json::from(o.assignments)),
+            ("max_run_len", Json::from(o.max_run_len)),
+            ("max_trie", Json::from(o.max_trie)),
+        ];
+        for (key, value) in measured {
+            assert_eq!(
+                row.get(key),
+                Some(&value),
+                "{}/{}: {key} differs from BENCH_query.json",
+                suite.name,
+                o.name
+            );
+        }
+    }
+}
+
 fn optimized_matches_naive_everywhere(name: &str) {
     let suite = suite(name);
     let excluded: Vec<&str> =
@@ -102,6 +146,7 @@ fn optimized_matches_naive_everywhere(name: &str) {
     let (naive, naive_hits, naive_builds) = run(&suite, &names, true);
     assert_eq!(engine.len(), names.len());
     assert_eq!(engine, naive, "{name}: query engine diverged from nested-loop baseline");
+    assert_matches_committed_rows(&suite, &engine);
     assert_eq!(naive_hits, 0, "{name}: the ablation must not memoize");
     assert_eq!(naive_builds, 0, "{name}: the ablation must not build hash tables");
     if !default_is_naive() {
@@ -208,11 +253,7 @@ fn interpret_mode_is_unaffected_by_the_ablation_flag() {
 /// `wave bench --check` in CI, which re-measures in release mode.)
 #[test]
 fn committed_query_bench_is_structurally_consistent() {
-    let text =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json"))
-            .expect("BENCH_query.json is committed at the repo root");
-    let json = wave_svc::parse_json(&text).expect("bench file parses");
-    let rows = json.get("rows").and_then(wave_svc::Json::as_array).expect("rows array");
+    let rows = committed_query_rows();
     assert!(!rows.is_empty());
     let get =
         |row: &wave_svc::Json, key: &str| row.get(key).cloned().unwrap_or(wave_svc::Json::Null);
