@@ -8,7 +8,7 @@
 //! sections across expansions. A rule body (or target condition, or
 //! property FO component) whose read-set touches only unchanged
 //! sections must therefore produce the same answer — the
-//! [`QueryMemo`] here makes that observation operational by assigning
+//! [`QueryEngine`]'s memo makes that observation operational by assigning
 //! every distinct section content an *epoch* and keying each prepared
 //! query's result on the epochs of exactly the sections in its
 //! [`ReadProfile`] mask.

@@ -28,6 +28,13 @@
 //! expansion would have interned the very same configurations, all
 //! already known, so `ConfigId`s are assigned in the same order as without
 //! the sharing.
+//!
+//! The phase profile reads the clock around `succP`, interning and FO
+//! evaluation, and once at each end of [`Ndfs::run`]. The rest of the
+//! run is the nested DFS's own work — visited-set probes, the path, Büchi
+//! transition selection, expansion-cache lookups — and is charged to
+//! `visit_ns` as the residual, so the profile sums to the run's wall time
+//! without a clock read per probe.
 
 use crate::budget::{BudgetPool, StepLease};
 use crate::cancel::CancelToken;
@@ -35,7 +42,7 @@ use crate::config::PseudoConfig;
 use crate::profile::SearchProfile;
 use crate::store::StateStore;
 use crate::succ::{EvalState, SearchCtx, StepKey, SuccError};
-use crate::trie::Phase;
+use crate::trie::{MixState, Phase};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -158,7 +165,7 @@ pub struct Ndfs<
     /// Per-configuration cache of (component assignment, successors):
     /// the stick and candy phases visit the same configuration under
     /// several automaton states, and succP does not depend on the state.
-    cache: HashMap<S::CKey, Expansion<S>>,
+    cache: HashMap<S::CKey, Expansion<S>, MixState>,
     /// Per-step-key cache of interned successor lists.
     lists: HashMap<StepKey, SuccList<S>>,
 }
@@ -206,7 +213,7 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
             base_index: 0,
             found: None,
             exhausted: None,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             lists: HashMap::new(),
         }
     }
@@ -317,13 +324,42 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
     }
 
     /// Run the search from every start pseudoconfiguration over the core.
+    /// Whatever part of the run's wall time the expand, intern and eval
+    /// timers did not claim is charged to `visit_ns` (one `visit` leaf
+    /// under the span profiler).
     pub fn run(mut self) -> Result<(SearchResult, SearchStats), SuccError> {
+        let t0 = Instant::now();
+        let timed0 = self.stats.profile.total_ns();
         let (hits0, misses0) = self.store.intern_counters();
+        self.search()?;
+        let (hits, misses) = self.store.intern_counters();
+        self.stats.profile.intern_hits += hits - hits0;
+        self.stats.profile.intern_misses += misses - misses0;
+        if let Some(lease) = self.lease.take() {
+            let (leased, refunded) = lease.release();
+            self.stats.profile.steps_leased += leased;
+            self.stats.profile.steps_refunded += refunded;
+        }
+        let run_ns = t0.elapsed().as_nanos() as u64;
+        let visit_ns = run_ns.saturating_sub(self.stats.profile.total_ns() - timed0);
+        self.stats.profile.visit_ns += visit_ns;
+        if P::ENABLED {
+            self.spans.leaf_ns("visit", NO_INDEX, 1, visit_ns);
+        }
+        let result = match (self.found, self.exhausted) {
+            (Some(ce), _) => SearchResult::Violation(ce),
+            (None, Some(b)) => SearchResult::Exhausted(b),
+            (None, None) => SearchResult::Clean,
+        };
+        Ok((result, self.stats))
+    }
+
+    /// The outer search from every start pseudoconfiguration.
+    fn search(&mut self) -> Result<(), SuccError> {
         let starts = self.successors(None)?;
         for (ck, c0) in starts.iter() {
             let key = self.store.pair(ck, self.buchi.initial);
-            let seen = self.mark(&key, Phase::Stick);
-            if !seen {
+            if !self.store.mark(&key, Phase::Stick) {
                 let assignment = self.expand(ck, c0)?.0;
                 if T::ENABLED {
                     self.tracer.event(TraceEvent::Phase { candy: false, depth: 0 });
@@ -340,20 +376,24 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
                 break;
             }
         }
-        let (hits, misses) = self.store.intern_counters();
-        self.stats.profile.intern_hits += hits - hits0;
-        self.stats.profile.intern_misses += misses - misses0;
-        if let Some(lease) = self.lease.take() {
-            let (leased, refunded) = lease.release();
-            self.stats.profile.steps_leased += leased;
-            self.stats.profile.steps_refunded += refunded;
+        Ok(())
+    }
+
+    /// The successor list of the path's top node, whose configuration
+    /// interns to `ck`. A cache hit reads nothing else from the path; only
+    /// a miss clones the top configuration for [`Ndfs::expand`].
+    fn expand_top(&mut self, ck: &S::CKey) -> Result<SuccList<S>, SuccError> {
+        if let Some((_, succs)) = self.cache.get(ck) {
+            return Ok(Rc::clone(succs));
         }
-        let result = match (self.found, self.exhausted) {
-            (Some(ce), _) => SearchResult::Violation(ce),
-            (None, Some(b)) => SearchResult::Exhausted(b),
-            (None, None) => SearchResult::Clean,
-        };
-        Ok((result, self.stats))
+        let cfg = self.path.last().expect("a search node is on the path").config.clone();
+        Ok(self.expand(ck, &cfg)?.1)
+    }
+
+    /// Automaton state and FO-component assignment of the path's top node.
+    fn top(&self) -> (usize, u64) {
+        let top = self.path.last().expect("a search node is on the path");
+        (top.auto_state, top.assignment)
     }
 
     /// Truth assignment of the FO components at `ev`'s configuration.
@@ -419,18 +459,6 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
         false
     }
 
-    /// Mark a pair visited, timing the probe.
-    fn mark(&mut self, key: &S::PKey, phase: Phase) -> bool {
-        let t0 = Instant::now();
-        let seen = self.store.mark(key, phase);
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.stats.profile.visit_ns += ns;
-        if P::ENABLED {
-            self.spans.leaf_ns("visit", NO_INDEX, 1, ns);
-        }
-        seen
-    }
-
     /// The outer search; the top of `self.path` is the current node,
     /// whose configuration interns to `ck`.
     fn stick(&mut self, ck: &S::CKey) -> Result<(), SuccError> {
@@ -438,17 +466,15 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
         if self.out_of_budget() {
             return Ok(());
         }
-        let top = self.path.last().expect("stick called with a path").clone();
-        let entry = self.expand(ck, &top.config)?;
-        let succs = &entry.1;
-        let transitions: Vec<usize> =
-            self.buchi.successors(top.auto_state, top.assignment).collect();
-        for t in transitions {
+        let (from, assign) = self.top();
+        let succs = self.expand_top(ck)?;
+        let buchi = self.buchi;
+        for t in buchi.successors(from, assign) {
             if T::ENABLED {
                 self.tracer.event(TraceEvent::Transition {
-                    from: top.auto_state as u32,
+                    from: from as u32,
                     to: t as u32,
-                    assign: top.assignment,
+                    assign,
                 });
             }
             for (ct_key, ct) in succs.iter() {
@@ -457,7 +483,7 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
                     return Ok(());
                 }
                 let key = self.store.pair(ct_key, t);
-                if !self.mark(&key, Phase::Stick) {
+                if !self.store.mark(&key, Phase::Stick) {
                     let assignment = self.expand(ct_key, ct)?.0;
                     self.path.push(TraceStep { auto_state: t, config: ct.clone(), assignment });
                     let ct_key = ct_key.clone();
@@ -479,7 +505,7 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
                         }
                         self.base_key = Some(key.clone());
                         self.base_index = self.path.len();
-                        self.mark(&key, Phase::Candy);
+                        self.store.mark(&key, Phase::Candy);
                         self.path.push(TraceStep { auto_state: t, config: ct.clone(), assignment });
                         let ct_key = ct_key.clone();
                         self.candy(&ct_key)?;
@@ -501,18 +527,16 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
         if self.out_of_budget() {
             return Ok(());
         }
-        let top = self.path.last().expect("candy called with a path").clone();
-        let entry = self.expand(ck, &top.config)?;
-        let succs = &entry.1;
-        let transitions: Vec<usize> =
-            self.buchi.successors(top.auto_state, top.assignment).collect();
+        let (from, assign) = self.top();
+        let succs = self.expand_top(ck)?;
         let base = self.base_key.clone().expect("candy has a base");
-        for t in transitions {
+        let buchi = self.buchi;
+        for t in buchi.successors(from, assign) {
             if T::ENABLED {
                 self.tracer.event(TraceEvent::Transition {
-                    from: top.auto_state as u32,
+                    from: from as u32,
                     to: t as u32,
-                    assign: top.assignment,
+                    assign,
                 });
             }
             for (ct_key, ct) in succs.iter() {
@@ -538,7 +562,7 @@ impl<'a, S: StateStore, T: SearchTracer, P: SpanSink> Ndfs<'a, S, T, P> {
                     });
                     return Ok(());
                 }
-                if !self.mark(&key, Phase::Candy) {
+                if !self.store.mark(&key, Phase::Candy) {
                     let assignment = self.expand(ct_key, ct)?.0;
                     self.path.push(TraceStep { auto_state: t, config: ct.clone(), assignment });
                     let ct_key = ct_key.clone();

@@ -8,10 +8,18 @@
 //! cost split is visible in `SearchStats`, `wave check --json`, and the
 //! batch/server records without an external profiler.
 //!
-//! The counters are sampled with `Instant::now()` pairs around each
-//! phase; the phases are coarse enough (rule evaluation, full `succP`
-//! calls) that the sampling overhead is noise. `expand_ns` measures the
-//! whole `succP` call and therefore *includes* the canonicalization time
+//! The expand, intern, eval and canon counters are sampled with
+//! `Instant::now()` pairs around each phase; those phases are coarse
+//! (whole `succP` calls, interning batches, one assignment per
+//! configuration). The visited set is not: a probe is one hash lookup,
+//! several times cheaper than the clock pair that would time it, so it
+//! is never timed on its own. Instead each core's search reads the clock
+//! once at each end, and `visit_ns` is the *residual* — the run's wall
+//! time minus the expand, intern and eval intervals inside it: visited-set
+//! probes, the search path, Büchi transition selection and
+//! expansion-cache lookups. [`SearchProfile::total_ns`] is therefore the
+//! searches' wall time by construction. `expand_ns` measures the whole
+//! `succP` call and therefore *includes* the canonicalization time
 //! reported separately in `canon_ns`.
 
 use std::time::Instant;
@@ -29,7 +37,9 @@ pub struct SearchProfile {
     pub expand_ns: u64,
     /// FO-component truth assignments.
     pub eval_ns: u64,
-    /// Visited-set marks and membership tests.
+    /// The nested DFS's own work: each search's wall time minus its
+    /// expand, intern and eval intervals (visited-set probes, the path,
+    /// transition selection, expansion-cache lookups).
     pub visit_ns: u64,
     /// Configurations that interned to an already-stored id.
     pub intern_hits: u64,
@@ -117,7 +127,8 @@ impl SearchProfile {
         *self == SearchProfile::default()
     }
 
-    /// Total profiled time: the sum of the *disjoint* phases. `canon_ns`
+    /// Total profiled time: the sum of the *disjoint* phases, which is
+    /// the searches' wall time (`visit_ns` is the residual). `canon_ns`
     /// is excluded because `expand_ns` already includes it.
     pub fn total_ns(&self) -> u64 {
         self.intern_ns + self.expand_ns + self.eval_ns + self.visit_ns

@@ -18,6 +18,15 @@
 //! the nested depth-first search — and both structures report the
 //! statistic the paper's experiments table records: the maximum number of
 //! keys resident (its "Max. trie size" column).
+//!
+//! The table and the search's per-configuration cache hash with
+//! [`MixState`] rather than std's SipHash: their keys are ids the store
+//! assigns (encodings of generated configurations, under the byte-key
+//! backend), never client input, so a fixed splitmix64 finalizer
+//! suffices.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A byte-trie with two boolean marks per key.
 #[derive(Debug)]
@@ -136,6 +145,44 @@ impl VisitTrie {
     }
 }
 
+/// A [`Hasher`] for store-assigned keys: each word is folded in with
+/// `wave-store`'s splitmix64 finalizer ([`wave_store::mix64`]). The
+/// finalizer mixes the high bits into the low ones, which matters
+/// because hashbrown picks the bucket from the low bits: under a bare
+/// multiply, the low half of a packed `(config id, state)` key's hash
+/// would depend on the automaton state alone. Byte slices (the byte-key
+/// backend's keys) fold in eight bytes at a time after their length.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = wave_store::mix64(self.0 ^ n);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`MixHasher`].
+pub type MixState = BuildHasherDefault<MixHasher>;
+
 /// A visited set over interned search nodes: `(config id, automaton
 /// state)` pairs packed into `u64` keys, two phase marks per key.
 ///
@@ -145,7 +192,7 @@ impl VisitTrie {
 /// statistic.
 #[derive(Debug, Default)]
 pub struct VisitTable {
-    marks: std::collections::HashMap<u64, u8>,
+    marks: HashMap<u64, u8, MixState>,
     max_keys: usize,
 }
 
@@ -234,6 +281,34 @@ mod tests {
         assert_eq!(t.len(), 0);
         t.mark(VisitTable::key(ConfigId(0), 0), Phase::Stick);
         assert_eq!(t.max_len(), 10, "historic max survives clear");
+    }
+
+    #[test]
+    fn mix_hasher_spreads_packed_keys_over_the_low_bits() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let state = MixState::default();
+        // hashbrown buckets by the low bits: both halves of a packed key
+        // must reach them (a bare multiply keeps the config half out)
+        let low12 = |keys: Vec<u64>| {
+            keys.into_iter().map(|k| state.hash_one(k) & 0xfff).collect::<HashSet<_>>().len()
+        };
+        let by_config = low12((0..4096).map(|i| VisitTable::key(ConfigId(i), 3)).collect());
+        let by_state = low12((0..4096).map(|s| VisitTable::key(ConfigId(7), s)).collect());
+        assert!(by_config >= 2048, "config ids collapse: {by_config} distinct low-12 values");
+        assert!(by_state >= 2048, "states collapse: {by_state} distinct low-12 values");
+    }
+
+    #[test]
+    fn mix_hasher_separates_byte_keys_differing_in_the_last_byte() {
+        use std::hash::BuildHasher;
+        let state = MixState::default();
+        for len in 1..=24u8 {
+            let a: Vec<u8> = (0..len).collect();
+            let mut b = a.clone();
+            *b.last_mut().unwrap() ^= 0x80;
+            assert_ne!(state.hash_one(&a), state.hash_one(&b), "length {len}");
+        }
     }
 
     #[test]

@@ -101,9 +101,10 @@ pub fn lint(req: &LintRequest) -> Vec<Diagnostic> {
     out
 }
 
-/// Lint an already parsed *and validated* spec (plus grouped properties).
-/// Used by front-ends that have the spec in hand anyway (`wave check`, the
-/// verification service); skips the E0001/E0002 stages.
+/// Lint an already parsed *and validated* spec (plus properties grouped
+/// with `group_fo`, as [`lint`] groups them). Used by `wave check`, which
+/// has the spec in hand anyway; skips the E0001/E0002 stages. The
+/// verification service lints from text with [`lint`].
 pub fn lint_spec(spec: &Spec, props: &[ParsedProperty]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     passes::run_all(spec, props, &mut out);

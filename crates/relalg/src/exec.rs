@@ -2,9 +2,9 @@
 //!
 //! Execution is a recursive interpreter. Nested loops remain the
 //! baseline for the tiny per-step relations, but the planner in
-//! [`crate::optimize`] lowers joins to [`Plan::HashJoin`] when the
-//! cardinality statistics say the build side is large enough to amortize
-//! a hash table; both forms canonicalize through
+//! [`crate::optimize`](mod@crate::optimize) lowers joins to
+//! [`Plan::HashJoin`] when the cardinality statistics say the build side
+//! is large enough to amortize a hash table; both forms canonicalize through
 //! [`Relation::from_tuples`], so they produce byte-identical relations.
 
 use crate::instance::Instance;

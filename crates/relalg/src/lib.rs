@@ -15,9 +15,9 @@
 //! * [`plan`]/[`exec`]/[`prepared`]: relational-algebra plans with parameter
 //!   slots, an interpreter, and reusable prepared queries (the JDBC
 //!   prepared-statement equivalent),
-//! * [`stats`]/[`optimize`]: cardinality statistics and the planner pass
-//!   that pushes selections down and lowers joins to hash operators when
-//!   the build side is large enough to pay for the table.
+//! * [`stats`]/[`optimize`](mod@optimize): cardinality statistics and the
+//!   planner pass that pushes selections down and lowers joins to hash
+//!   operators when the build side is large enough to pay for the table.
 
 pub mod engine;
 pub mod exec;

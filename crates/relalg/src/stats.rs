@@ -1,10 +1,10 @@
 //! Cardinality statistics over an [`Instance`], feeding the planner.
 //!
-//! The optimizer in [`crate::optimize`] needs two things a classical
-//! OLTP statistics collector would provide: per-relation row counts (to
-//! pick the cheaper hash-build side and to decide whether hash machinery
-//! pays for itself at all) and per-column distinct counts (equality
-//! selectivity). Both are exact here, not sampled — the instances the
+//! The optimizer in [`crate::optimize`](mod@crate::optimize) needs two
+//! things a classical OLTP statistics collector would provide:
+//! per-relation row counts (to pick the cheaper hash-build side and to
+//! decide whether hash machinery pays for itself at all) and per-column
+//! distinct counts (equality selectivity). Both are exact here, not sampled — the instances the
 //! verifier plans against are the per-core base databases, small enough
 //! to scan outright.
 //!

@@ -17,7 +17,9 @@
 /// 64-bit finalizer (splitmix64): full-avalanche, fixed constants, so
 /// block placement — and therefore every spill/eviction decision
 /// downstream — is identical across runs, platforms, and builds.
-pub(crate) fn mix64(mut x: u64) -> u64 {
+/// `wave-core` also hashes its dense-id maps with it.
+#[inline]
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

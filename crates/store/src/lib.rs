@@ -33,7 +33,7 @@ pub mod segment;
 pub mod ser;
 pub mod tiered;
 
-pub use bloom::SplitBloom;
+pub use bloom::{mix64, SplitBloom};
 pub use hot::{ClockTable, SLOT_BYTES};
 pub use segment::{Segment, SegmentIter, SegmentWriter};
 pub use ser::{fnv1a, ByteReader, ByteWriter};

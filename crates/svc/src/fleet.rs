@@ -64,7 +64,7 @@
 //! # Determinism argument
 //!
 //! Only `Ok` outcomes are ever recorded, each into its ordinal slot,
-//! and the reduction is [`crate::scheduler::settle_checks`]: walk
+//! and the reduction is the scheduler's `settle_checks`: walk
 //! ordinals in order, accept a completed `Clean`/`Violation` whose
 //! `configs` fit the exact sequential leftover, re-run anything else
 //! locally under precisely that leftover. Completed searches are pure
@@ -757,9 +757,9 @@ fn run_local(shared: &Shared<'_>) {
     }
 }
 
-/// A bound fleet dispatcher. Workers connect to [`local_addr`]
-/// (`FleetDispatcher::local_addr`); [`run_checks`]
-/// (`FleetDispatcher::run_checks`) runs one dispatch session.
+/// A bound fleet dispatcher. Workers connect to
+/// [`FleetDispatcher::local_addr`]; [`FleetDispatcher::run_checks`] runs
+/// one dispatch session.
 pub struct FleetDispatcher {
     listener: TcpListener,
     options: FleetOptions,

@@ -43,6 +43,6 @@ pub use metrics::SvcMetrics;
 pub use scheduler::{check_parallel, run_prepared, ParallelOptions};
 pub use server::{Server, ServerConfig};
 pub use service::{
-    lint_records, lookup_suite, parse_options, DiagnosticRecord, JobRecord, ServiceConfig,
-    VerifyService,
+    diagnostic_records, lint_records, lookup_suite, parse_options, DiagnosticRecord, JobRecord,
+    ServiceConfig, VerifyService,
 };

@@ -51,7 +51,7 @@
 //!
 //! The settlement pass is shared with the distributed fleet dispatcher
 //! ([`crate::fleet`]): the fleet records remote `UnitOutcome`s into the
-//! same per-ordinal slots and reduces through [`settle_checks`], which is
+//! same per-ordinal slots and reduces through `settle_checks`, which is
 //! what makes the fleet verdict byte-identical to `--jobs 1` across a
 //! lossy transport — any unit a worker lost, starved, or overran is
 //! simply re-run under the exact sequential leftover.

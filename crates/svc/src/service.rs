@@ -110,12 +110,20 @@ impl DiagnosticRecord {
 }
 
 /// Run the lint pre-pass over a request and resolve every finding to a
-/// flat [`DiagnosticRecord`]. Informational notes (severity
+/// flat [`DiagnosticRecord`] (see [`diagnostic_records`]).
+pub fn lint_records(req: &wave_lint::LintRequest) -> Vec<DiagnosticRecord> {
+    diagnostic_records(req, &wave_lint::lint(req))
+}
+
+/// Resolve lint findings on `req`'s sources to flat
+/// [`DiagnosticRecord`]s. Informational notes (severity
 /// [`wave_lint::Severity::Note`], e.g. N0604 monotonicity hints) stay
 /// out of job records — they describe verifier behavior, not spec
 /// defects, and would churn cached record bytes.
-pub fn lint_records(req: &wave_lint::LintRequest) -> Vec<DiagnosticRecord> {
-    let diags = wave_lint::lint(req);
+pub fn diagnostic_records(
+    req: &wave_lint::LintRequest,
+    diags: &[wave_lint::Diagnostic],
+) -> Vec<DiagnosticRecord> {
     let sources = wave_lint::SourceSet::new(req);
     diags
         .iter()

@@ -400,12 +400,26 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             text: property_text.clone(),
         }],
     };
-    let lint_diags = wave_lint::lint(&lint_req);
+    let property = parse_property(&property_text);
+    let lint_diags = match &property {
+        // the spec is already parsed and validated: lint it as it is,
+        // with the property grouped the way `wave_lint::lint` groups it
+        Ok(p) => {
+            let mut grouped = p.clone();
+            grouped.body = grouped.body.group_fo();
+            wave_lint::lint_spec(
+                &spec,
+                &[wave_lint::ParsedProperty { index: 0, property: grouped }],
+            )
+        }
+        // from the text, so the property's E0001 diagnostic is reported
+        Err(_) => wave_lint::lint(&lint_req),
+    };
     if !json_out && !quiet && !lint_diags.is_empty() {
         eprint!("{}", wave_lint::render_text(&lint_req, &lint_diags));
         eprintln!("lint: {}", wave_lint::summary(&lint_diags));
     }
-    let property = match parse_property(&property_text) {
+    let property = match property {
         Ok(p) => p,
         Err(e) => {
             eprintln!("property: {e}");
@@ -485,7 +499,7 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             }
         }
         let mut record = wave_svc::JobRecord::from_verification(path, &v);
-        record.diagnostics = wave_svc::lint_records(&lint_req);
+        record.diagnostics = wave_svc::diagnostic_records(&lint_req, &lint_diags);
         println!("{}", record.to_json());
         return match &v.verdict {
             Verdict::Holds => ExitCode::SUCCESS,

@@ -89,6 +89,31 @@ fn attribution_agrees_with_phase_timers_on_e1_p5() {
     );
 }
 
+/// The phase profile accounts for the search: each core's run charges
+/// what its expand/intern/eval timers leave of its wall time to `visit`,
+/// so the four phases sum to the runs' wall time and only per-core setup
+/// and the check's preparation stay outside them (about 4% of E1/P5 in a
+/// release build, 1% in a debug one). A clock pair around each
+/// visited-set probe would leave its reads outside every timed window,
+/// over 10% of the check in either build. Best of three, so one
+/// descheduled stretch cannot fail it.
+#[test]
+fn phase_profile_covers_the_search_on_e1_p5() {
+    let suite = e1::suite();
+    let verifier = Verifier::new(suite.spec.clone()).unwrap();
+    let case = suite.properties.iter().find(|c| c.name == "P5").unwrap();
+    let property = parse_property(&case.text).unwrap();
+    let mut best = 0.0f64;
+    for _ in 0..3 {
+        let v = verifier.check(&property).expect("check runs");
+        let elapsed = v.stats.elapsed.as_nanos() as u64;
+        let total = v.stats.profile.total_ns();
+        assert!(total <= elapsed, "phases sum to {total} ns, more than the check's {elapsed} ns");
+        best = best.max(total as f64 / elapsed as f64);
+    }
+    assert!(best >= 0.9, "the phases cover only {:.1}% of the check", best * 100.0);
+}
+
 #[test]
 fn profile_out_and_prof_flame_roundtrip() {
     let dir = temp_dir("prof_cli");
