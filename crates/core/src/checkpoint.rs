@@ -38,7 +38,7 @@
 use crate::budget::BudgetPool;
 use crate::ndfs::SearchLimits;
 use crate::profile::SearchProfile;
-use crate::store::{ByteStore, InternedStore, StateStore, StateStoreKind, TieredStore};
+use crate::store::StateStore;
 use crate::verifier::{
     PreparedCheck, Stats, Verdict, Verification, Verifier, VerifyError, VerifyOptions,
 };
@@ -246,12 +246,14 @@ impl Drive<'_> {
     }
 
     /// Atomically write the checkpoint resuming at `(unit, next_core)`
-    /// with `store`'s arena payload, then fire the test hook if due.
-    fn write<S: StateStore>(
+    /// with `store`'s arena payload (none at a unit boundary, where the
+    /// next unit starts from a fresh store), then fire the test hook if
+    /// due.
+    fn write(
         &mut self,
         unit: usize,
         next_core: u64,
-        store: &mut S,
+        store: Option<&StateStore>,
     ) -> Result<(), VerifyError> {
         let mut w = ByteWriter::new();
         w.u32(MAGIC);
@@ -266,7 +268,7 @@ impl Drive<'_> {
         // the steps charged so far
         w.u64(self.limits.pool.as_ref().map_or(0, |p| p.spent()));
         let mut arena = ByteWriter::new();
-        if next_core > 0 {
+        if let Some(store) = store {
             store.save_state(&mut arena);
         }
         w.bytes(arena.as_slice());
@@ -300,12 +302,12 @@ impl Drive<'_> {
 /// Scan one unit in checkpoint-sized chunks over a persistent `store`,
 /// starting at core `first_core`. Returns the unit's search outcome, or
 /// `None` when the test hook interrupted the run mid-unit.
-fn drive_unit<S: StateStore, T: SearchTracer>(
+fn drive_unit<T: SearchTracer>(
     prepared: &PreparedCheck<'_>,
     unit: usize,
     first_core: u64,
     arena: Option<&[u8]>,
-    store: &mut S,
+    store: &mut StateStore,
     drive: &mut Drive<'_>,
     tracer: &mut T,
 ) -> Result<Option<crate::ndfs::SearchResult>, VerifyError> {
@@ -338,7 +340,7 @@ fn drive_unit<S: StateStore, T: SearchTracer>(
         drive.cores_since_ckpt += end - next;
         next = end;
         if next < total && drive.cores_since_ckpt >= every {
-            drive.write(unit, next, store)?;
+            drive.write(unit, next, Some(store))?;
             if drive.interrupted {
                 return Ok(None);
             }
@@ -431,20 +433,10 @@ fn check_checkpointed_inner<T: SearchTracer>(
         let arena = (unit == first_unit).then_some(arena).flatten();
         // one persistent store per unit, loaded from the checkpoint's
         // arena payload when resuming mid-unit
-        let result = match &options.state_store {
-            StateStoreKind::Interned => {
-                let mut store = InternedStore::new();
-                drive_unit(&prepared, unit, start_core, arena, &mut store, &mut drive, tracer)?
-            }
-            StateStoreKind::ByteKeys => {
-                let mut store = ByteStore::new();
-                drive_unit(&prepared, unit, start_core, arena, &mut store, &mut drive, tracer)?
-            }
-            StateStoreKind::Tiered(params) => {
-                let mut store = TieredStore::new(params);
-                drive_unit(&prepared, unit, start_core, arena, &mut store, &mut drive, tracer)?
-            }
-        };
+        let mut store =
+            StateStore::new(&options.state_store).map_err(|e| VerifyError::Store(e.to_string()))?;
+        let result =
+            drive_unit(&prepared, unit, start_core, arena, &mut store, &mut drive, tracer)?;
         match result {
             None => {
                 return Ok(CheckpointOutcome::Interrupted {
@@ -459,8 +451,7 @@ fn check_checkpointed_inner<T: SearchTracer>(
                 {
                     // arena payloads are per-unit; the next unit starts
                     // fresh, so no store state is written (next_core 0)
-                    let mut fresh = InternedStore::new();
-                    drive.write(unit + 1, 0, &mut fresh)?;
+                    drive.write(unit + 1, 0, None)?;
                     if drive.interrupted {
                         return Ok(CheckpointOutcome::Interrupted {
                             checkpoints_written: drive.checkpoints_written,
@@ -669,7 +660,7 @@ mod tests {
     #[test]
     fn resume_works_under_the_tiered_backend() {
         let mut verifier = multiunit();
-        verifier.options_mut().state_store = StateStoreKind::Tiered(crate::store::TierParams {
+        verifier.options_mut().state_store = crate::StateStoreKind::Tiered(crate::TierParams {
             mem_bytes: 1, // pathologically small: every core spills
             spill_dir: None,
         });
@@ -689,6 +680,26 @@ mod tests {
         assert!(v.verdict.holds(), "{:?}", v.verdict);
         assert_eq!(deterministic(&v.stats), deterministic(&baseline.stats));
         assert!(v.stats.profile.spill_pairs > 0, "the tiny budget must spill");
+    }
+
+    #[test]
+    fn unusable_spill_dir_is_a_store_error() {
+        let tmp = TempDir::new();
+        let file = tmp.0.join("not-a-dir");
+        fs::write(&file, b"a regular file").unwrap();
+        let mut verifier = multiunit();
+        verifier.options_mut().state_store = crate::StateStoreKind::Tiered(crate::TierParams {
+            mem_bytes: 0,
+            spill_dir: Some(file),
+        });
+        let cfg = CheckpointConfig::new(tmp.0.join("ckpt"), 4);
+        match check_checkpointed(&verifier, PROP, &cfg) {
+            Err(VerifyError::Store(msg)) => {
+                assert!(msg.starts_with("tiered store: cannot create spill dir: "), "{msg}")
+            }
+            Ok(_) => panic!("a store that cannot spill must not run"),
+            Err(e) => panic!("expected a store error, got {e:?}"),
+        }
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! state relations (ground tuples over `C` only) and the actions taken.
 //!
 //! Configurations are stored in canonical form (sorted tuple lists), which
-//! gives structural equality and a deterministic byte encoding. Each fact
-//! section is held behind an `Arc`, so `succP` successors that leave a
-//! section unchanged (the common case: every successor of one expansion
-//! shares its previous-input and state sections) share it copy-on-write
-//! instead of deep-cloning — see [`crate::intern`] for the hash-consing
-//! layer that extends the sharing across equal (not just same-origin)
-//! sections.
+//! gives structural equality. Each fact section is held behind an `Arc`,
+//! so `succP` successors that leave a section unchanged (the common case:
+//! every successor of one expansion shares its previous-input and state
+//! sections) share it copy-on-write instead of deep-cloning — see
+//! [`crate::intern`] for the hash-consing layer that extends the sharing
+//! across equal (not just same-origin) sections.
 
 use std::sync::Arc;
 use wave_relalg::{Instance, RelId, Tuple};
@@ -72,27 +71,6 @@ impl PseudoConfig {
         }
     }
 
-    /// The five fact sections in encoding order.
-    pub fn sections(&self) -> [&SharedFacts; 5] {
-        [&self.ext, &self.input, &self.prev, &self.state, &self.actions]
-    }
-
-    /// Canonical byte encoding for byte-keyed visit sets. The encoding is
-    /// injective: each section is length-prefixed and tuples carry their
-    /// relation id.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.page.0.to_le_bytes());
-        for facts in self.sections() {
-            out.extend_from_slice(&(facts.len() as u32).to_le_bytes());
-            for (rel, t) in facts.iter() {
-                out.extend_from_slice(&rel.0.to_le_bytes());
-                for v in t.values() {
-                    out.extend_from_slice(&v.0.to_le_bytes());
-                }
-            }
-        }
-    }
-
     /// Materialize this configuration (plus the fixed `core`) into a fresh
     /// working instance for rule evaluation. `base` must be an instance
     /// holding exactly the core tuples (it is cloned, not mutated).
@@ -110,14 +88,6 @@ impl PseudoConfig {
         }
         inst.insert(spec.page(self.page).marker, Tuple::from([]));
         inst
-    }
-
-    /// Build the byte key for a search node `(automaton state, config)`.
-    pub fn trie_key(&self, auto_state: usize) -> Vec<u8> {
-        let mut key = Vec::with_capacity(64);
-        key.extend_from_slice(&(auto_state as u32).to_le_bytes());
-        self.encode(&mut key);
-        key
     }
 }
 
@@ -181,36 +151,19 @@ mod tests {
     }
 
     #[test]
-    fn encoding_is_injective_across_sections() {
-        let s = spec();
-        // same fact in ext vs state must encode differently
-        let mut a = PseudoConfig::initial(PageId(0));
-        a.ext = Arc::new(vec![fact(&s, "db", &[1, 2])]);
-        let mut b = PseudoConfig::initial(PageId(0));
-        b.state = Arc::new(vec![fact(&s, "db", &[1, 2])]);
-        let (mut ka, mut kb) = (Vec::new(), Vec::new());
-        a.encode(&mut ka);
-        b.encode(&mut kb);
-        assert_ne!(ka, kb);
-    }
-
-    #[test]
-    fn encoding_differs_by_page_and_auto_state() {
-        let a = PseudoConfig::initial(PageId(0));
-        let b = PseudoConfig::initial(PageId(1));
-        assert_ne!(a.trie_key(0), b.trie_key(0));
-        assert_ne!(a.trie_key(0), a.trie_key(1));
-    }
-
-    #[test]
     fn equal_configs_equal_keys() {
+        // canonical form makes fact order irrelevant all the way to the
+        // interned id, and so to the visited-set key
         let s = spec();
         let mut a = PseudoConfig::initial(PageId(0));
         a.state = Arc::new(canonicalize(vec![fact(&s, "st", &[3]), fact(&s, "st", &[1])]));
         let mut b = PseudoConfig::initial(PageId(0));
         b.state = Arc::new(canonicalize(vec![fact(&s, "st", &[1]), fact(&s, "st", &[3])]));
         assert_eq!(a, b);
-        assert_eq!(a.trie_key(5), b.trie_key(5));
+        let mut store = crate::intern::ConfigStore::new();
+        let (ia, ib) = (store.intern(&a), store.intern(&b));
+        assert_eq!(ia, ib);
+        assert_eq!(crate::trie::VisitTable::key(ia, 5), crate::trie::VisitTable::key(ib, 5));
     }
 
     #[test]

@@ -66,9 +66,9 @@ pub use ndfs::{Budget, CounterExample, SearchLimits, SearchResult, SearchStats, 
 pub use profile::SearchProfile;
 pub use replay::{replay, ReplayError};
 pub use slice::SliceInfo;
-pub use store::{ByteStore, InternedStore, StateStore, StateStoreKind, TierParams, TieredStore};
+pub use store::{StateStore, StateStoreKind, TierParams};
 pub use succ::{SearchCtx, SuccError};
-pub use trie::{Phase, VisitTable, VisitTrie};
+pub use trie::{Phase, VisitTable};
 pub use universe::{
     core_universe, extension_universe, ExtensionPruning, Universe, UniverseOverflow, MAX_BLOCKS,
     MAX_UNIVERSE,
@@ -83,6 +83,5 @@ pub use wave_obs::{
     FlightRecorder, JsonlTracer, NoopSpans, NoopTracer, SearchTracer, SpanProfiler, SpanRow,
     SpanSink, Tee, TraceEvent, NO_INDEX, TRACE_SCHEMA_VERSION,
 };
-// Re-exported so callers sizing the tiered backend don't need a direct
-// wave-store dependency for the common types.
-pub use wave_store::{TierConfig, TierCounters, TieredVisits};
+// Re-exported because `StateStore::tier_counters` returns it.
+pub use wave_store::TierCounters;

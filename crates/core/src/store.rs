@@ -1,45 +1,35 @@
-//! State-store backends for the nested depth-first search.
+//! The state store of the nested depth-first search.
 //!
-//! The NDFS needs three things from its state representation: a
-//! config-level key for the successor cache, a `(config, automaton
-//! state)` pair key for the visited set, and mark/membership operations
-//! on that set. [`StateStore`] abstracts them so the search is generic
-//! over two implementations:
+//! A [`StateStore`] holds what the search keeps for one work unit: the
+//! hash-consed [`ConfigStore`] arena, where a configuration interns once
+//! to a dense [`ConfigId`], and the visited set over packed
+//! `(ConfigId, automaton state)` pair keys ([`VisitTable::key`]) with
+//! their stick/candy marks. [`StateStoreKind`] picks where the marks
+//! live:
 //!
-//! * [`InternedStore`] — the hash-consed arena of [`crate::intern`]: a
-//!   configuration interns to a `u32` [`ConfigId`] once, pair keys are
-//!   packed `u64`s, and the visited set is the flat [`VisitTable`]. This
-//!   is the default.
-//! * [`ByteStore`] — the seed representation, kept as the measured
-//!   ablation baseline ([`VerifyOptions::state_store`],
-//!   `wave check --byte-keys`, and the `state_interning` bench): every
-//!   intern re-serializes the configuration to a canonical byte vector
-//!   and the visited set is the paper's byte [`VisitTrie`].
+//! * [`StateStoreKind::Interned`] — in memory, in the flat
+//!   [`VisitTable`]. This is the default.
+//! * [`StateStoreKind::Tiered`] — in `wave-store`'s [`TieredVisits`]
+//!   (Bloom front → clock hot tier → sorted spill segments) under a
+//!   byte budget, so searches whose visited set outgrows RAM spill to
+//!   disk instead of dying. See DESIGN.md §10.
 //!
-//! * [`TieredStore`] — the out-of-core backend: interned ids like
-//!   [`InternedStore`], but the visited set is `wave-store`'s
-//!   [`TieredVisits`] (Bloom front → clock hot tier → sorted spill
-//!   segments) under a configurable byte budget, so searches whose
-//!   visited set outgrows RAM spill to disk instead of dying. See
-//!   DESIGN.md §10.
-//!
-//! Both in-memory backends (and the tiered one) return a *canonical*
-//! configuration from [`StateStore::intern`]; for the interned store
-//! this is the hash-consed copy whose sections are shared `Arc`s, so
-//! callers that retain it (path steps, successor caches) deduplicate
-//! storage for free. Verdicts and traversal order are independent of
-//! the backend; only speed and memory differ.
-//!
-//! [`VerifyOptions::state_store`]: crate::verifier::VerifyOptions
+//! Keys, interning and traversal order are the same either way, so
+//! verdicts and the deterministic stats columns are byte-identical
+//! across the two (pinned by `tests/store_tiered.rs` and
+//! `crates/core/tests/prop_oracle.rs`). [`StateStore::intern`] returns
+//! the arena's canonical copy of a configuration, whose sections are
+//! shared `Arc`s, so callers that retain it (path steps, successor
+//! caches) deduplicate storage for free.
 
 use crate::config::PseudoConfig;
 use crate::intern::{ConfigId, ConfigStore};
-use crate::trie::{Phase, VisitTable, VisitTrie};
-use std::hash::Hash;
+use crate::trie::{Phase, VisitTable};
+use std::io;
 use std::path::PathBuf;
 use wave_store::{ByteReader, ByteWriter, TierConfig, TierCounters, TieredVisits};
 
-/// Sizing knobs of the tiered backend (a subset of
+/// Sizing knobs of the tiered visited set (a subset of
 /// [`wave_store::TierConfig`] — the segment-merge fanout stays an
 /// internal constant so verdict-relevant options stay small).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,288 +48,145 @@ impl Default for TierParams {
     }
 }
 
-/// Which state-store backend a search uses.
+/// Where a search keeps its visited marks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum StateStoreKind {
-    /// Hash-consed interned ids (the fast path).
+    /// In memory, in the flat [`VisitTable`].
     #[default]
     Interned,
-    /// Canonical byte keys in a visit trie (the seed baseline).
-    ByteKeys,
-    /// Interned ids with the tiered out-of-core visited set.
+    /// In the tiered out-of-core visited set.
     Tiered(TierParams),
 }
 
-/// The state representation one NDFS runs over. One store serves all
-/// cores of one work unit; [`StateStore::clear_visits`] resets the
-/// visited set between cores while keys stay valid for the store's
-/// lifetime.
-pub trait StateStore {
-    /// Config-level key (successor-cache key).
-    type CKey: Clone + Eq + Hash;
-    /// `(config, automaton state)` pair key (visited-set key).
-    type PKey: Clone + Eq;
+/// The state one NDFS runs over. One store serves all cores of one
+/// work unit; [`StateStore::clear_visits`] resets the visited set
+/// between cores while interned ids stay valid for the store's lifetime.
+#[derive(Debug)]
+pub struct StateStore {
+    arena: ConfigStore,
+    visits: Visits,
+}
 
-    /// Key a configuration, returning its canonical form alongside.
-    fn intern(&mut self, cfg: &PseudoConfig) -> (Self::CKey, PseudoConfig);
-    /// The pair key of `(config, automaton state)`.
-    fn pair(&self, ck: &Self::CKey, auto_state: usize) -> Self::PKey;
-    /// Mark a pair visited in `phase`; true when it already was.
-    fn mark(&mut self, pk: &Self::PKey, phase: Phase) -> bool;
-    /// Is a pair marked for `phase`?
-    fn is_marked(&self, pk: &Self::PKey, phase: Phase) -> bool;
+/// The two homes of the visited marks.
+#[derive(Debug)]
+enum Visits {
+    Table(VisitTable),
+    Tiered(Box<TieredVisits>),
+}
+
+impl StateStore {
+    /// An empty store whose visited set lives where `kind` says. Fails
+    /// when the tiered set cannot create its spill directory — a store
+    /// that cannot spill cannot honor its memory budget.
+    pub fn new(kind: &StateStoreKind) -> io::Result<StateStore> {
+        let visits = match kind {
+            StateStoreKind::Interned => Visits::Table(VisitTable::new()),
+            StateStoreKind::Tiered(params) => {
+                let config = TierConfig {
+                    mem_bytes: usize::try_from(params.mem_bytes).unwrap_or(usize::MAX),
+                    spill_dir: params.spill_dir.clone(),
+                    ..TierConfig::default()
+                };
+                let visits = TieredVisits::new(config).map_err(|e| {
+                    io::Error::new(e.kind(), format!("tiered store: cannot create spill dir: {e}"))
+                })?;
+                Visits::Tiered(Box::new(visits))
+            }
+        };
+        Ok(StateStore { arena: ConfigStore::new(), visits })
+    }
+
+    /// Intern a configuration, returning its id and canonical form.
+    pub fn intern(&mut self, cfg: &PseudoConfig) -> (ConfigId, PseudoConfig) {
+        let id = self.arena.intern(cfg);
+        (id, self.arena.config(id))
+    }
+
+    /// Mark a pair key visited in `phase`; true when it already was.
+    #[inline]
+    pub fn mark(&mut self, key: u64, phase: Phase) -> bool {
+        match &mut self.visits {
+            Visits::Table(t) => t.mark(key, phase),
+            Visits::Tiered(t) => t.mark(key, phase.mask()),
+        }
+    }
+
+    /// Is a pair key marked for `phase`?
+    #[inline]
+    pub fn is_marked(&self, key: u64, phase: Phase) -> bool {
+        match &self.visits {
+            Visits::Table(t) => t.is_marked(key, phase),
+            Visits::Tiered(t) => t.is_marked(key, phase.mask()),
+        }
+    }
+
     /// Reset the visited set (between cores), keeping the historic max.
-    fn clear_visits(&mut self);
+    pub fn clear_visits(&mut self) {
+        match &mut self.visits {
+            Visits::Table(t) => t.clear(),
+            Visits::Tiered(t) => t.clear(),
+        }
+    }
+
     /// Maximum number of *distinct* visited pairs between clears (the
     /// paper's "Max. trie size" column) — resident and spilled pairs
     /// together; see [`StateStore::visited_breakdown`] for the split.
-    fn max_visited(&self) -> usize;
-    /// `(max resident, max spilled)` high-water marks. In-memory
-    /// backends keep everything resident; the tiered backend reports
-    /// its hot-tier occupancy peak and on-disk entry peak separately
-    /// (the spilled count includes duplicate copies across segments,
-    /// so the two need not sum to [`StateStore::max_visited`]).
-    fn visited_breakdown(&self) -> (usize, usize) {
-        (self.max_visited(), 0)
-    }
-    /// Spill/compaction/Bloom event counters (all zero for in-memory
-    /// backends).
-    fn tier_counters(&self) -> TierCounters {
-        TierCounters::default()
-    }
-    /// Wall time spent in (segment writes, merge compactions), ns.
-    /// Zero for in-memory backends; profiler diagnostics only, not
-    /// part of the deterministic counter contract.
-    fn spill_timers(&self) -> (u64, u64) {
-        (0, 0)
-    }
-    /// Interner (hits, misses) counters since construction.
-    fn intern_counters(&self) -> (u64, u64);
-    /// Serialize the durable store state (the intern arena, for
-    /// backends that have one) into a checkpoint payload. Visited
-    /// marks are *not* part of it: checkpoints happen at core
-    /// boundaries, where the visited set is empty by construction.
-    fn save_state(&mut self, _w: &mut ByteWriter) {}
-    /// Restore [`StateStore::save_state`] output; false on a corrupt
-    /// payload. Must be called on a freshly built store.
-    fn load_state(&mut self, _r: &mut ByteReader<'_>) -> bool {
-        true
-    }
-}
-
-/// Hash-consed backend: [`ConfigStore`] arena + [`VisitTable`].
-#[derive(Debug, Default)]
-pub struct InternedStore {
-    store: ConfigStore,
-    visits: VisitTable,
-}
-
-impl InternedStore {
-    pub fn new() -> InternedStore {
-        InternedStore::default()
-    }
-
-    /// The underlying arena (diagnostics and tests).
-    pub fn arena(&self) -> &ConfigStore {
-        &self.store
-    }
-}
-
-impl StateStore for InternedStore {
-    type CKey = ConfigId;
-    type PKey = u64;
-
-    fn intern(&mut self, cfg: &PseudoConfig) -> (ConfigId, PseudoConfig) {
-        let id = self.store.intern(cfg);
-        (id, self.store.config(id))
-    }
-
-    fn pair(&self, ck: &ConfigId, auto_state: usize) -> u64 {
-        VisitTable::key(*ck, auto_state)
-    }
-
-    fn mark(&mut self, pk: &u64, phase: Phase) -> bool {
-        self.visits.mark(*pk, phase)
-    }
-
-    fn is_marked(&self, pk: &u64, phase: Phase) -> bool {
-        self.visits.is_marked(*pk, phase)
-    }
-
-    fn clear_visits(&mut self) {
-        self.visits.clear();
-    }
-
-    fn max_visited(&self) -> usize {
-        self.visits.max_len()
-    }
-
-    fn intern_counters(&self) -> (u64, u64) {
-        let s = self.store.stats();
-        (s.config_hits, s.config_misses)
-    }
-
-    fn save_state(&mut self, w: &mut ByteWriter) {
-        self.store.serialize(w);
-    }
-
-    fn load_state(&mut self, r: &mut ByteReader<'_>) -> bool {
-        match ConfigStore::deserialize(r) {
-            Some(store) => {
-                self.store = store;
-                true
-            }
-            None => false,
+    pub fn max_visited(&self) -> usize {
+        match &self.visits {
+            Visits::Table(t) => t.max_len(),
+            Visits::Tiered(t) => t.max_distinct(),
         }
     }
-}
 
-/// Byte-key backend: canonical encodings + the paper's [`VisitTrie`].
-#[derive(Debug, Default)]
-pub struct ByteStore {
-    trie: VisitTrie,
-    hits: u64,
-    misses: u64,
-}
-
-impl ByteStore {
-    pub fn new() -> ByteStore {
-        ByteStore::default()
-    }
-}
-
-impl StateStore for ByteStore {
-    type CKey = Vec<u8>;
-    type PKey = Vec<u8>;
-
-    fn intern(&mut self, cfg: &PseudoConfig) -> (Vec<u8>, PseudoConfig) {
-        // every call serializes — exactly the cost profile of the seed
-        // implementation this backend exists to measure against
-        let mut key = Vec::with_capacity(64);
-        cfg.encode(&mut key);
-        self.misses += 1;
-        (key, cfg.clone())
+    /// `(max resident, max spilled)` high-water marks. The in-memory
+    /// table keeps everything resident; the tiered set reports its
+    /// hot-tier occupancy peak and on-disk entry peak separately (the
+    /// spilled count includes duplicate copies across segments, so the
+    /// two need not sum to [`StateStore::max_visited`]).
+    pub fn visited_breakdown(&self) -> (usize, usize) {
+        match &self.visits {
+            Visits::Table(t) => (t.max_len(), 0),
+            Visits::Tiered(t) => (t.max_resident(), t.max_spilled()),
+        }
     }
 
-    fn pair(&self, ck: &Vec<u8>, auto_state: usize) -> Vec<u8> {
-        let mut key = Vec::with_capacity(4 + ck.len());
-        key.extend_from_slice(&(auto_state as u32).to_le_bytes());
-        key.extend_from_slice(ck);
-        key
+    /// Spill/compaction/Bloom event counters (all zero in memory).
+    pub fn tier_counters(&self) -> TierCounters {
+        match &self.visits {
+            Visits::Table(_) => TierCounters::default(),
+            Visits::Tiered(t) => t.counters(),
+        }
     }
 
-    fn mark(&mut self, pk: &Vec<u8>, phase: Phase) -> bool {
-        self.trie.mark(pk, phase)
+    /// Wall time spent in (segment writes, merge compactions), ns.
+    /// Zero in memory; profiler diagnostics only, not part of the
+    /// deterministic counter contract.
+    pub fn spill_timers(&self) -> (u64, u64) {
+        match &self.visits {
+            Visits::Table(_) => (0, 0),
+            Visits::Tiered(t) => t.spill_timers(),
+        }
     }
 
-    fn is_marked(&self, pk: &Vec<u8>, phase: Phase) -> bool {
-        self.trie.is_marked(pk, phase)
-    }
-
-    fn clear_visits(&mut self) {
-        self.trie.clear();
-    }
-
-    fn max_visited(&self) -> usize {
-        self.trie.max_len()
-    }
-
-    fn intern_counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-/// Out-of-core backend: the [`InternedStore`] arena in front of
-/// `wave-store`'s tiered visited set. Keys and traversal order are
-/// identical to [`InternedStore`] — only where the marks live differs —
-/// so verdicts and the deterministic stats columns are byte-identical
-/// across the two (pinned by `tests/store_tiered.rs`).
-#[derive(Debug)]
-pub struct TieredStore {
-    store: ConfigStore,
-    visits: TieredVisits,
-}
-
-impl TieredStore {
-    /// Build from the option-level sizing knobs. Panics when the spill
-    /// directory cannot be created — a store that cannot spill cannot
-    /// honor its memory budget.
-    pub fn new(params: &TierParams) -> TieredStore {
-        let config = TierConfig {
-            mem_bytes: usize::try_from(params.mem_bytes).unwrap_or(usize::MAX),
-            spill_dir: params.spill_dir.clone(),
-            ..TierConfig::default()
-        };
-        let visits = TieredVisits::new(config)
-            .unwrap_or_else(|e| panic!("tiered store: cannot create spill dir: {e}"));
-        TieredStore { store: ConfigStore::new(), visits }
-    }
-
-    /// The underlying arena (diagnostics and tests).
-    pub fn arena(&self) -> &ConfigStore {
-        &self.store
-    }
-
-    /// The tiered visited set (diagnostics and tests).
-    pub fn visits(&self) -> &TieredVisits {
-        &self.visits
-    }
-}
-
-impl StateStore for TieredStore {
-    type CKey = ConfigId;
-    type PKey = u64;
-
-    fn intern(&mut self, cfg: &PseudoConfig) -> (ConfigId, PseudoConfig) {
-        let id = self.store.intern(cfg);
-        (id, self.store.config(id))
-    }
-
-    fn pair(&self, ck: &ConfigId, auto_state: usize) -> u64 {
-        VisitTable::key(*ck, auto_state)
-    }
-
-    fn mark(&mut self, pk: &u64, phase: Phase) -> bool {
-        self.visits.mark(*pk, phase.mask())
-    }
-
-    fn is_marked(&self, pk: &u64, phase: Phase) -> bool {
-        self.visits.is_marked(*pk, phase.mask())
-    }
-
-    fn clear_visits(&mut self) {
-        self.visits.clear();
-    }
-
-    fn max_visited(&self) -> usize {
-        self.visits.max_distinct()
-    }
-
-    fn visited_breakdown(&self) -> (usize, usize) {
-        (self.visits.max_resident(), self.visits.max_spilled())
-    }
-
-    fn tier_counters(&self) -> TierCounters {
-        self.visits.counters()
-    }
-
-    fn spill_timers(&self) -> (u64, u64) {
-        self.visits.spill_timers()
-    }
-
-    fn intern_counters(&self) -> (u64, u64) {
-        let s = self.store.stats();
+    /// Interner (hits, misses) counters since construction.
+    pub fn intern_counters(&self) -> (u64, u64) {
+        let s = self.arena.stats();
         (s.config_hits, s.config_misses)
     }
 
-    fn save_state(&mut self, w: &mut ByteWriter) {
-        self.store.serialize(w);
+    /// Serialize the intern arena into a checkpoint payload. Visited
+    /// marks are *not* part of it: checkpoints happen at core
+    /// boundaries, where the visited set is empty by construction.
+    pub fn save_state(&self, w: &mut ByteWriter) {
+        self.arena.serialize(w);
     }
 
-    fn load_state(&mut self, r: &mut ByteReader<'_>) -> bool {
+    /// Restore [`StateStore::save_state`] output; false on a corrupt
+    /// payload. Must be called on a freshly built store.
+    pub fn load_state(&mut self, r: &mut ByteReader<'_>) -> bool {
         match ConfigStore::deserialize(r) {
-            Some(store) => {
-                self.store = store;
+            Some(arena) => {
+                self.arena = arena;
                 true
             }
             None => false,
@@ -362,12 +209,16 @@ mod tests {
         c
     }
 
-    /// Both backends implement the same visited-set semantics.
-    fn exercise<S: StateStore>(mut s: S)
-    where
-        S::CKey: std::fmt::Debug,
-        S::PKey: std::fmt::Debug,
-    {
+    fn store(kind: StateStoreKind) -> StateStore {
+        StateStore::new(&kind).expect("store builds")
+    }
+
+    fn tiered(mem_bytes: u64) -> StateStore {
+        store(StateStoreKind::Tiered(TierParams { mem_bytes, spill_dir: None }))
+    }
+
+    /// Both visited sets implement the same semantics.
+    fn exercise(mut s: StateStore) {
         let (ka, ca) = s.intern(&cfg(0, &[1]));
         let (kb, _) = s.intern(&cfg(0, &[2]));
         assert_eq!(ca, cfg(0, &[1]), "canonical config is structurally equal");
@@ -375,87 +226,115 @@ mod tests {
         assert_eq!(ka, ka2, "equal configs key equally");
         assert_ne!(ka, kb);
 
-        let pa0 = s.pair(&ka, 0);
-        let pa1 = s.pair(&ka, 1);
-        let pb0 = s.pair(&kb, 0);
-        assert_ne!(pa0, pa1);
-        assert_ne!(pa0, pb0);
+        let pa0 = VisitTable::key(ka, 0);
+        let pa1 = VisitTable::key(ka, 1);
 
-        assert!(!s.mark(&pa0, Phase::Stick));
-        assert!(s.mark(&pa0, Phase::Stick));
-        assert!(!s.is_marked(&pa0, Phase::Candy));
-        assert!(!s.mark(&pa1, Phase::Stick));
+        assert!(!s.mark(pa0, Phase::Stick));
+        assert!(s.mark(pa0, Phase::Stick));
+        assert!(!s.is_marked(pa0, Phase::Candy));
+        assert!(!s.mark(pa1, Phase::Stick));
         assert_eq!(s.max_visited(), 2);
         s.clear_visits();
-        assert!(!s.is_marked(&pa0, Phase::Stick));
-        assert!(!s.mark(&pa0, Phase::Stick), "keys survive clear_visits");
+        assert!(!s.is_marked(pa0, Phase::Stick));
+        assert!(!s.mark(pa0, Phase::Stick), "keys survive clear_visits");
         assert_eq!(s.max_visited(), 2, "historic max survives clear");
     }
 
     #[test]
     fn interned_store_semantics() {
-        exercise(InternedStore::new());
-    }
-
-    #[test]
-    fn byte_store_semantics() {
-        exercise(ByteStore::new());
+        exercise(store(StateStoreKind::Interned));
     }
 
     #[test]
     fn tiered_store_semantics() {
-        exercise(TieredStore::new(&TierParams::default()));
+        exercise(store(StateStoreKind::Tiered(TierParams::default())));
         // and again with a budget small enough that everything spills
-        exercise(TieredStore::new(&TierParams { mem_bytes: 0, spill_dir: None }));
+        exercise(tiered(0));
+    }
+
+    #[test]
+    fn unusable_spill_dir_is_an_error() {
+        let file = std::env::temp_dir().join(format!("wave-spill-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let kind =
+            StateStoreKind::Tiered(TierParams { mem_bytes: 0, spill_dir: Some(file.clone()) });
+        let err = StateStore::new(&kind).expect_err("a regular file cannot hold spill segments");
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.to_string().starts_with("tiered store: cannot create spill dir: "), "{err}");
     }
 
     #[test]
     fn tiered_breakdown_separates_resident_from_spilled() {
-        let mut s = TieredStore::new(&TierParams { mem_bytes: 0, spill_dir: None });
+        let mut s = tiered(0);
         // 64-slot floor -> 48-entry ceiling; 300 pairs must spill
         let (key, _) = s.intern(&cfg(0, &[1]));
         for auto_state in 0..300 {
-            let pk = s.pair(&key, auto_state);
-            assert!(!s.mark(&pk, Phase::Stick));
+            assert!(!s.mark(VisitTable::key(key, auto_state), Phase::Stick));
         }
         assert_eq!(s.max_visited(), 300, "distinct count spans both tiers");
         let (resident, spilled) = s.visited_breakdown();
         assert!(resident <= 48, "resident bounded by the budget: {resident}");
         assert!(spilled > 0, "overflow went to disk");
         assert!(s.tier_counters().spill_segments > 0);
-        let interned = InternedStore::new();
-        assert_eq!(interned.visited_breakdown(), (0, 0), "default breakdown is all-resident");
+        let interned = store(StateStoreKind::Interned);
+        assert_eq!(interned.visited_breakdown(), (0, 0), "the table keeps everything resident");
+    }
+
+    #[test]
+    fn intern_counters_count_repeats_as_hits() {
+        for kind in [StateStoreKind::Interned, StateStoreKind::Tiered(TierParams::default())] {
+            let mut s = store(kind);
+            assert_eq!(s.intern_counters(), (0, 0));
+            s.intern(&cfg(0, &[1]));
+            s.intern(&cfg(0, &[2]));
+            s.intern(&cfg(0, &[1]));
+            assert_eq!(s.intern_counters(), (1, 2), "(hits, misses)");
+            s.clear_visits();
+            assert_eq!(s.intern_counters(), (1, 2), "clearing the visits keeps the arena");
+        }
+    }
+
+    #[test]
+    fn in_memory_store_reports_no_tier_activity() {
+        let mut s = store(StateStoreKind::Interned);
+        let (key, _) = s.intern(&cfg(0, &[1]));
+        for auto_state in 0..300 {
+            s.mark(VisitTable::key(key, auto_state), Phase::Stick);
+        }
+        assert_eq!(s.tier_counters(), TierCounters::default());
+        assert_eq!(s.spill_timers(), (0, 0));
+        assert_eq!(s.visited_breakdown(), (300, 0), "everything stays resident");
     }
 
     #[test]
     fn save_state_round_trips_the_arena() {
-        let mut s = TieredStore::new(&TierParams::default());
+        let mut s = store(StateStoreKind::Tiered(TierParams::default()));
         let (ka, _) = s.intern(&cfg(0, &[1]));
         let (kb, _) = s.intern(&cfg(1, &[2, 3]));
-        let mut w = wave_store::ByteWriter::new();
+        let mut w = ByteWriter::new();
         s.save_state(&mut w);
         let buf = w.into_inner();
 
-        let mut fresh = TieredStore::new(&TierParams::default());
-        assert!(fresh.load_state(&mut wave_store::ByteReader::new(&buf)));
+        let mut fresh = store(StateStoreKind::Tiered(TierParams::default()));
+        assert!(fresh.load_state(&mut ByteReader::new(&buf)));
         let (ka2, _) = fresh.intern(&cfg(0, &[1]));
         let (kb2, _) = fresh.intern(&cfg(1, &[2, 3]));
         assert_eq!((ka, kb), (ka2, kb2), "ids survive the round trip");
-        assert!(!fresh.load_state(&mut wave_store::ByteReader::new(&buf[..3])), "corrupt payload");
+        assert!(!fresh.load_state(&mut ByteReader::new(&buf[..3])), "corrupt payload");
 
-        let mut interned = InternedStore::new();
+        let mut interned = store(StateStoreKind::Interned);
         interned.intern(&cfg(0, &[9]));
-        let mut w = wave_store::ByteWriter::new();
+        let mut w = ByteWriter::new();
         interned.save_state(&mut w);
         let buf = w.into_inner();
-        let mut fresh = InternedStore::new();
-        assert!(fresh.load_state(&mut wave_store::ByteReader::new(&buf)));
+        let mut fresh = store(StateStoreKind::Interned);
+        assert!(fresh.load_state(&mut ByteReader::new(&buf)));
         assert_eq!(fresh.intern_counters(), interned.intern_counters());
     }
 
     #[test]
     fn interned_store_dedups_storage() {
-        let mut s = InternedStore::new();
+        let mut s = store(StateStoreKind::Interned);
         let (_, a) = s.intern(&cfg(0, &[5]));
         let (_, b) = s.intern(&cfg(1, &[5]));
         assert!(Arc::ptr_eq(&a.state, &b.state), "hash-consed sections share");

@@ -1,48 +1,26 @@
-//! Visited sets for the nested depth-first search.
+//! The in-memory visited set of the nested depth-first search.
 //!
-//! Two implementations, one per state-store backend:
-//!
-//! * [`VisitTrie`] — the paper's data structure (Section 4: "The visited
-//!   configurations are then stored in a trie data structure which allows
-//!   updates and membership tests in time linear in the size of the
-//!   bitmap"). Keys are the canonical byte encodings of `(automaton
-//!   state, pseudoconfiguration)` pairs. Kept as the byte-key ablation
-//!   baseline.
-//! * [`VisitTable`] — the hash-consed replacement: once configurations
-//!   are interned (see [`crate::intern`]), a search node is just a
-//!   `(u32 config id, u32 automaton state)` pair, and the visited set is
-//!   a flat hash table over packed `u64` keys — no per-visit
-//!   serialization, no per-byte trie walk.
+//! The paper keeps visited search nodes in a byte trie (Section 4: "The
+//! visited configurations are then stored in a trie data structure which
+//! allows updates and membership tests in time linear in the size of the
+//! bitmap"). Once configurations are interned (see [`crate::intern`]), a
+//! search node is just a `(u32 config id, u32 automaton state)` pair, so
+//! [`VisitTable`] is a flat hash table over packed `u64` keys instead —
+//! no per-visit serialization, no per-byte trie walk.
 //!
 //! Each key carries two marks — the `0` (stick) and `1` (candy) flags of
-//! the nested depth-first search — and both structures report the
-//! statistic the paper's experiments table records: the maximum number of
-//! keys resident (its "Max. trie size" column).
+//! the nested depth-first search — and the table reports the statistic
+//! the paper's experiments table records: the maximum number of keys
+//! resident (its "Max. trie size" column). `wave-store`'s tiered set
+//! implements the same semantics out of core (see [`crate::store`]).
 //!
 //! The table and the search's per-configuration cache hash with
 //! [`MixState`] rather than std's SipHash: their keys are ids the store
-//! assigns (encodings of generated configurations, under the byte-key
-//! backend), never client input, so a fixed splitmix64 finalizer
+//! assigns, never client input, so a fixed splitmix64 finalizer
 //! suffices.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-/// A byte-trie with two boolean marks per key.
-#[derive(Debug)]
-pub struct VisitTrie {
-    nodes: Vec<Node>,
-    keys: usize,
-    max_keys: usize,
-}
-
-#[derive(Debug, Default)]
-struct Node {
-    /// Sorted (byte, child index) pairs — keys are short, branching is low.
-    children: Vec<(u8, u32)>,
-    /// Bit 0: stick-visited; bit 1: candy-visited; bit 2: key present.
-    marks: u8,
-}
 
 /// Which search phase marked the key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,96 +40,13 @@ impl Phase {
     }
 }
 
-impl Default for VisitTrie {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VisitTrie {
-    /// Empty trie.
-    pub fn new() -> Self {
-        VisitTrie { nodes: vec![Node::default()], keys: 0, max_keys: 0 }
-    }
-
-    /// Remove all keys but remember the historical maximum.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.nodes.push(Node::default());
-        self.keys = 0;
-    }
-
-    /// Number of keys currently stored.
-    pub fn len(&self) -> usize {
-        self.keys
-    }
-
-    /// True when no key is stored.
-    pub fn is_empty(&self) -> bool {
-        self.keys == 0
-    }
-
-    /// Largest number of keys ever resident (across `clear`s).
-    pub fn max_len(&self) -> usize {
-        self.max_keys
-    }
-
-    /// Number of trie nodes (memory diagnostic).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn descend(&mut self, key: &[u8]) -> usize {
-        let mut cur = 0usize;
-        for &b in key {
-            cur = match self.nodes[cur].children.binary_search_by_key(&b, |&(c, _)| c) {
-                Ok(i) => self.nodes[cur].children[i].1 as usize,
-                Err(i) => {
-                    let next = self.nodes.len();
-                    self.nodes.push(Node::default());
-                    self.nodes[cur].children.insert(i, (b, next as u32));
-                    next
-                }
-            };
-        }
-        cur
-    }
-
-    /// Mark `key` as visited in `phase`. Returns `true` if it was already
-    /// marked for that phase (i.e. the search can prune).
-    pub fn mark(&mut self, key: &[u8], phase: Phase) -> bool {
-        let node = self.descend(key);
-        let n = &mut self.nodes[node];
-        let was_key = n.marks & 0b100 != 0;
-        let was_marked = n.marks & phase.mask() != 0;
-        n.marks |= 0b100 | phase.mask();
-        if !was_key {
-            self.keys += 1;
-            self.max_keys = self.max_keys.max(self.keys);
-        }
-        was_marked
-    }
-
-    /// Is `key` marked for `phase`?
-    pub fn is_marked(&self, key: &[u8], phase: Phase) -> bool {
-        let mut cur = 0usize;
-        for &b in key {
-            match self.nodes[cur].children.binary_search_by_key(&b, |&(c, _)| c) {
-                Ok(i) => cur = self.nodes[cur].children[i].1 as usize,
-                Err(_) => return false,
-            }
-        }
-        self.nodes[cur].marks & phase.mask() != 0
-    }
-}
-
 /// A [`Hasher`] for store-assigned keys: each word is folded in with
 /// `wave-store`'s splitmix64 finalizer ([`wave_store::mix64`]). The
 /// finalizer mixes the high bits into the low ones, which matters
 /// because hashbrown picks the bucket from the low bits: under a bare
 /// multiply, the low half of a packed `(config id, state)` key's hash
-/// would depend on the automaton state alone. Byte slices (the byte-key
-/// backend's keys) fold in eight bytes at a time after their length.
+/// would depend on the automaton state alone. Byte slices fold in eight
+/// bytes at a time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MixHasher(u64);
 
@@ -184,12 +79,9 @@ impl Hasher for MixHasher {
 pub type MixState = BuildHasherDefault<MixHasher>;
 
 /// A visited set over interned search nodes: `(config id, automaton
-/// state)` pairs packed into `u64` keys, two phase marks per key.
-///
-/// Mirrors the [`VisitTrie`] API (including the historical maximum
-/// surviving [`VisitTable::clear`]) so the two backends are
-/// interchangeable in the search and report the same "Max. trie size"
-/// statistic.
+/// state)` pairs packed into `u64` keys, two phase marks per key. The
+/// historical maximum survives [`VisitTable::clear`], so it reports the
+/// paper's "Max. trie size" across the cores of a unit.
 #[derive(Debug, Default)]
 pub struct VisitTable {
     marks: HashMap<u64, u8, MixState>,
@@ -284,6 +176,101 @@ mod tests {
     }
 
     #[test]
+    fn fresh_keys_are_unmarked() {
+        let t = VisitTable::new();
+        let k = VisitTable::key(ConfigId(3), 1);
+        assert!(!t.is_marked(k, Phase::Stick));
+        assert!(!t.is_marked(k, Phase::Candy));
+        assert!(t.is_empty(), "probing does not insert");
+        assert_eq!(t.max_len(), 0);
+    }
+
+    #[test]
+    fn mark_reports_prior_state() {
+        let mut t = VisitTable::new();
+        let k = VisitTable::key(ConfigId(2), 5);
+        assert!(!t.mark(k, Phase::Candy));
+        assert!(t.mark(k, Phase::Candy));
+        assert!(t.mark(k, Phase::Candy), "a mark is never taken back");
+        assert_eq!((t.len(), t.max_len()), (1, 1), "re-marking does not re-count the key");
+    }
+
+    #[test]
+    fn phases_are_independent() {
+        let mut t = VisitTable::new();
+        let k = VisitTable::key(ConfigId(4), 0);
+        t.mark(k, Phase::Candy);
+        assert!(!t.is_marked(k, Phase::Stick), "a candy mark is not a stick mark");
+        assert!(!t.mark(k, Phase::Stick));
+        assert!(t.is_marked(k, Phase::Stick) && t.is_marked(k, Phase::Candy));
+        assert_eq!(t.len(), 1, "same key, both phases: one key");
+    }
+
+    #[test]
+    fn prefix_keys_are_distinct() {
+        // keys sharing their config half (the high word) or their state
+        // half (the low word) are distinct entries
+        let mut t = VisitTable::new();
+        t.mark(VisitTable::key(ConfigId(1), 2), Phase::Stick);
+        for (c, s) in [(1, 0), (1, 1), (1, 3), (0, 2), (2, 2), (2, 1)] {
+            assert!(!t.is_marked(VisitTable::key(ConfigId(c), s), Phase::Stick), "({c}, {s})");
+        }
+        t.mark(VisitTable::key(ConfigId(1), 1), Phase::Stick);
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn empty_key_is_a_valid_key() {
+        // the first interned config in automaton state 0 packs to key 0,
+        // and the last id in the last 32-bit state to u64::MAX
+        let (first, last) =
+            (VisitTable::key(ConfigId(0), 0), VisitTable::key(ConfigId(u32::MAX), 0xffff_ffff));
+        assert_eq!((first, last), (0, u64::MAX));
+        let mut t = VisitTable::new();
+        assert!(!t.mark(first, Phase::Candy));
+        assert!(t.is_marked(first, Phase::Candy));
+        assert!(!t.mark(last, Phase::Stick));
+        assert!(t.is_marked(last, Phase::Stick));
+        assert!(!t.is_marked(first, Phase::Stick) && !t.is_marked(last, Phase::Candy));
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn clear_resets_but_max_persists() {
+        let mut t = VisitTable::new();
+        let keys: Vec<u64> = (0..10).map(|s| VisitTable::key(ConfigId(1), s)).collect();
+        for &k in &keys {
+            t.mark(k, Phase::Stick);
+            t.mark(k, Phase::Candy);
+        }
+        t.clear();
+        for &k in &keys {
+            assert!(!t.is_marked(k, Phase::Stick) && !t.is_marked(k, Phase::Candy));
+        }
+        // a later, larger core raises the historic max past the old one
+        for s in 0..12 {
+            assert!(!t.mark(VisitTable::key(ConfigId(2), s), Phase::Stick));
+        }
+        assert_eq!((t.len(), t.max_len()), (12, 12));
+    }
+
+    #[test]
+    fn many_keys_round_trip() {
+        // enough keys, spread over both halves, to force several resizes
+        let keys: Vec<u64> =
+            (0..500u32).map(|i| VisitTable::key(ConfigId(i / 7), (i % 7) as usize)).collect();
+        let mut t = VisitTable::new();
+        for &k in &keys {
+            assert!(!t.mark(k, Phase::Stick));
+        }
+        for &k in &keys {
+            assert!(t.is_marked(k, Phase::Stick));
+            assert!(!t.is_marked(k, Phase::Candy));
+        }
+        assert_eq!((t.len(), t.max_len()), (500, 500));
+    }
+
+    #[test]
     fn mix_hasher_spreads_packed_keys_over_the_low_bits() {
         use std::collections::HashSet;
         use std::hash::BuildHasher;
@@ -309,74 +296,5 @@ mod tests {
             *b.last_mut().unwrap() ^= 0x80;
             assert_ne!(state.hash_one(&a), state.hash_one(&b), "length {len}");
         }
-    }
-
-    #[test]
-    fn fresh_keys_are_unmarked() {
-        let t = VisitTrie::new();
-        assert!(!t.is_marked(b"abc", Phase::Stick));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn mark_reports_prior_state() {
-        let mut t = VisitTrie::new();
-        assert!(!t.mark(b"abc", Phase::Stick));
-        assert!(t.mark(b"abc", Phase::Stick));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn phases_are_independent() {
-        let mut t = VisitTrie::new();
-        t.mark(b"k", Phase::Stick);
-        assert!(!t.is_marked(b"k", Phase::Candy));
-        assert!(!t.mark(b"k", Phase::Candy));
-        assert!(t.is_marked(b"k", Phase::Candy));
-        assert_eq!(t.len(), 1, "same key, both phases: one key");
-    }
-
-    #[test]
-    fn prefix_keys_are_distinct() {
-        let mut t = VisitTrie::new();
-        t.mark(b"ab", Phase::Stick);
-        assert!(!t.is_marked(b"a", Phase::Stick));
-        assert!(!t.is_marked(b"abc", Phase::Stick));
-        t.mark(b"a", Phase::Stick);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn empty_key_is_a_valid_key() {
-        let mut t = VisitTrie::new();
-        assert!(!t.mark(b"", Phase::Candy));
-        assert!(t.is_marked(b"", Phase::Candy));
-    }
-
-    #[test]
-    fn clear_resets_but_max_persists() {
-        let mut t = VisitTrie::new();
-        for i in 0..10u8 {
-            t.mark(&[i], Phase::Stick);
-        }
-        assert_eq!(t.max_len(), 10);
-        t.clear();
-        assert_eq!(t.len(), 0);
-        t.mark(b"x", Phase::Stick);
-        assert_eq!(t.max_len(), 10, "historic max survives clear");
-    }
-
-    #[test]
-    fn many_keys_round_trip() {
-        let mut t = VisitTrie::new();
-        let keys: Vec<Vec<u8>> = (0..500u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        for k in &keys {
-            assert!(!t.mark(k, Phase::Stick));
-        }
-        for k in &keys {
-            assert!(t.is_marked(k, Phase::Stick));
-            assert!(!t.is_marked(k, Phase::Candy));
-        }
-        assert_eq!(t.len(), 500);
     }
 }

@@ -23,7 +23,7 @@ use crate::domain::{assignments, build_pools, relevant_constants, Assignment, Pa
 use crate::memo::{QueryCost, QueryEngine};
 use crate::ndfs::{Budget, CounterExample, Ndfs, SearchLimits, SearchResult};
 use crate::profile::SearchProfile;
-use crate::store::{ByteStore, InternedStore, StateStore, StateStoreKind, TieredStore};
+use crate::store::{StateStore, StateStoreKind};
 use crate::succ::{SearchCtx, SuccError};
 use crate::universe::{core_universe, ExtensionPruning, UniverseOverflow};
 use crate::visibility::Visibility;
@@ -64,10 +64,10 @@ pub struct VerifyOptions {
     /// Use compiled prepared plans (`true`) or the FO interpreter for
     /// every rule (`false`; the query-evaluation ablation baseline).
     pub use_plans: bool,
-    /// State-store backend: hash-consed interned ids (default) or the
-    /// byte-key baseline. Semantics-neutral — verdicts, traces and search
-    /// statistics are identical; only speed and memory differ (result
-    /// caches must therefore ignore it, like `cancel`).
+    /// Where the search keeps its visited marks: in memory (default) or
+    /// in the tiered out-of-core set. Semantics-neutral — verdicts,
+    /// traces and search statistics are identical; only speed and memory
+    /// differ (result caches must therefore ignore it, like `cancel`).
     pub state_store: StateStoreKind,
     /// Query-engine ablation: when true, skip the cardinality-guided plan
     /// optimizer (so every join stays nested-loop) and the delta-driven
@@ -221,6 +221,9 @@ pub enum VerifyError {
     /// Checkpoint I/O failed or an adopted checkpoint turned out to be
     /// internally inconsistent (see [`crate::checkpoint`]).
     Checkpoint(String),
+    /// The state store could not be built (e.g. the tiered set's spill
+    /// directory cannot be created).
+    Store(String),
     /// A worker running the unit panicked. The schedulers catch the
     /// unwind and record it as a failed outcome so one poisoned unit
     /// cannot take the orchestrator (or its sibling checks) down.
@@ -238,6 +241,7 @@ impl std::fmt::Display for VerifyError {
             VerifyError::Overflow(e) => write!(f, "{e}"),
             VerifyError::Succ(e) => write!(f, "{e}"),
             VerifyError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            VerifyError::Store(e) => write!(f, "{e}"),
             VerifyError::Panic(e) => write!(f, "worker panicked: {e}"),
         }
     }
@@ -782,17 +786,9 @@ impl PreparedCheck<'_> {
         tracer: &mut T,
         spans: &mut P,
     ) -> Result<UnitOutcome, VerifyError> {
-        match &self.verifier.options.state_store {
-            StateStoreKind::Interned => {
-                self.run_unit_in(unit, cores, limits, &mut InternedStore::new(), tracer, spans)
-            }
-            StateStoreKind::ByteKeys => {
-                self.run_unit_in(unit, cores, limits, &mut ByteStore::new(), tracer, spans)
-            }
-            StateStoreKind::Tiered(params) => {
-                self.run_unit_in(unit, cores, limits, &mut TieredStore::new(params), tracer, spans)
-            }
-        }
+        let mut store = StateStore::new(&self.verifier.options.state_store)
+            .map_err(|e| VerifyError::Store(e.to_string()))?;
+        self.run_unit_in(unit, cores, limits, &mut store, tracer, spans)
     }
 
     /// The core scan over an explicit state store (one store per unit:
@@ -801,12 +797,12 @@ impl PreparedCheck<'_> {
     /// store alive across several core-range chunks of the same unit —
     /// the checkpoint driver in [`crate::checkpoint`] — can run the
     /// chunks without re-interning the arena from scratch each time.
-    pub fn run_unit_in<S: StateStore, T: SearchTracer, P: SpanSink>(
+    pub fn run_unit_in<T: SearchTracer, P: SpanSink>(
         &self,
         unit: usize,
         cores: Option<Range<u64>>,
         limits: &SearchLimits,
-        store: &mut S,
+        store: &mut StateStore,
         tracer: &mut T,
         spans: &mut P,
     ) -> Result<UnitOutcome, VerifyError> {
@@ -1148,6 +1144,26 @@ mod tests {
         verifier.options_mut().max_steps = Some(1);
         let v = verifier.check_str("forall u: G (greet(u) -> logged(u))").unwrap();
         assert!(matches!(v.verdict, Verdict::Unknown(_)), "{v:?}");
+    }
+
+    #[test]
+    fn unusable_spill_dir_is_a_store_error() {
+        // a regular file where the tiered set wants its spill directory
+        let file = std::env::temp_dir().join(format!("wave-verify-spill-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let mut verifier = pingpong();
+        verifier.options_mut().state_store = StateStoreKind::Tiered(crate::TierParams {
+            mem_bytes: 0,
+            spill_dir: Some(file.clone()),
+        });
+        let result = verifier.check_str("F @B");
+        std::fs::remove_file(&file).unwrap();
+        match result {
+            Err(VerifyError::Store(msg)) => {
+                assert!(msg.starts_with("tiered store: cannot create spill dir: "), "{msg}")
+            }
+            other => panic!("expected a store error, got {other:?}"),
+        }
     }
 
     #[test]

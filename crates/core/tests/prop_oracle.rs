@@ -1,5 +1,5 @@
-//! Cross-validation of the interned pseudorun search against the
-//! explicit-state `wave-naive` oracle on random miniature specifications.
+//! Cross-validation of the pseudorun search against the explicit-state
+//! `wave-naive` oracle on random miniature specifications.
 //!
 //! The generated family is propositional navigation: pages whose targets
 //! are guarded by input constants only, no database relations. On this
@@ -9,14 +9,15 @@
 //!
 //! Two invariants per case:
 //!
-//! * the interned store and the byte-key ablation store produce the same
-//!   verdict and, on violations, byte-identical counterexample lassos
-//!   (hash-consing is semantics-neutral),
-//! * the interned verdict agrees with the `wave-naive` oracle
+//! * the in-memory visited set and the tiered one at a 0-byte budget
+//!   (the hot tier's 64-slot floor, so a search past 48 visited pairs
+//!   spills) produce the same verdict and, on violations, byte-identical
+//!   counterexample lassos (where the marks live is semantics-neutral),
+//! * the in-memory verdict agrees with the `wave-naive` oracle
 //!   (`Holds` ↔ `HoldsBounded`, `Violated` ↔ `Violated`).
 
 use proptest::prelude::*;
-use wave_core::{StateStoreKind, Verdict, Verifier, VerifyOptions};
+use wave_core::{StateStoreKind, TierParams, Verdict, Verifier, VerifyOptions};
 use wave_naive::{NaiveOptions, NaiveVerdict, NaiveVerifier};
 use wave_spec::parse_spec;
 
@@ -100,8 +101,8 @@ fn check(spec_src: &str, property: &str, store: StateStoreKind) -> wave_core::Ve
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Interned and byte-key stores agree on verdict and lasso, and the
-    /// interned verdict matches the explicit-state oracle.
+    /// The in-memory and the 0-byte tiered visited sets agree on verdict
+    /// and lasso, and the verdict matches the explicit-state oracle.
     #[test]
     fn interned_search_matches_naive_oracle(
         n in 2usize..=3,
@@ -117,14 +118,18 @@ proptest! {
         let property = render_property(kind, a, b, n);
 
         let interned = check(&spec_src, &property, StateStoreKind::Interned);
-        let byte_keys = check(&spec_src, &property, StateStoreKind::ByteKeys);
+        let spilled = check(
+            &spec_src,
+            &property,
+            StateStoreKind::Tiered(TierParams { mem_bytes: 0, spill_dir: None }),
+        );
 
-        // hash-consing is semantics-neutral: identical verdicts and,
-        // on violations, identical lollipop counterexamples
+        // where the marks live is semantics-neutral: identical verdicts
+        // and, on violations, identical lollipop counterexamples
         prop_assert_eq!(
             format!("{:?}", interned.verdict),
-            format!("{:?}", byte_keys.verdict),
-            "store ablation changed the verdict on {} / {}", spec_src, property
+            format!("{:?}", spilled.verdict),
+            "the tiered store changed the verdict on {} / {}", spec_src, property
         );
 
         // oracle agreement (skip if either side ran out of budget; the

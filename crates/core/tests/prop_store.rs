@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use wave_core::{
-    ConfigId, InternedStore, Phase, PseudoConfig, StateStore, TierParams, TieredStore, VisitTable,
+    ConfigId, Phase, PseudoConfig, StateStore, StateStoreKind, TierParams, VisitTable,
 };
 use wave_relalg::{RelId, Tuple, Value};
 use wave_spec::PageId;
@@ -63,6 +63,11 @@ fn key(cfg: u8, auto: u8) -> u64 {
     VisitTable::key(ConfigId(u32::from(cfg)), auto as usize)
 }
 
+/// A store whose visited set is the tiered one, sized by `params`.
+fn tiered_store(params: &TierParams) -> StateStore {
+    StateStore::new(&StateStoreKind::Tiered(params.clone())).expect("store builds")
+}
+
 /// A distinct pseudo-configuration per universe slot (used by the
 /// checkpoint property, which exercises real interning).
 fn config(slot: u8) -> PseudoConfig {
@@ -83,15 +88,14 @@ proptest! {
     ) {
         for mem_bytes in [0u64, 1 << 20] {
             let mut oracle = VisitTable::new();
-            let mut tiered =
-                TieredStore::new(&TierParams { mem_bytes, spill_dir: None });
+            let mut tiered = tiered_store(&TierParams { mem_bytes, spill_dir: None });
             for (i, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Mark { cfg, auto, candy } => {
                         let k = key(cfg, auto);
                         prop_assert_eq!(
                             oracle.mark(k, phase(candy)),
-                            tiered.mark(&k, phase(candy)),
+                            tiered.mark(k, phase(candy)),
                             "op {i}: mark({cfg},{auto},{candy:?}) diverged at {mem_bytes} bytes"
                         );
                     }
@@ -99,7 +103,7 @@ proptest! {
                         let k = key(cfg, auto);
                         prop_assert_eq!(
                             oracle.is_marked(k, phase(candy)),
-                            tiered.is_marked(&k, phase(candy)),
+                            tiered.is_marked(k, phase(candy)),
                             "op {i}: is_marked({cfg},{auto},{candy:?}) diverged at {mem_bytes} bytes"
                         );
                     }
@@ -126,8 +130,8 @@ proptest! {
         post in prop::collection::vec(op_strategy(), 80),
     ) {
         let params = TierParams { mem_bytes: 0, spill_dir: None };
-        let mut oracle = InternedStore::new();
-        let mut tiered = TieredStore::new(&params);
+        let mut oracle = StateStore::new(&StateStoreKind::Interned).unwrap();
+        let mut tiered = tiered_store(&params);
 
         // intern the whole universe up front; ids must agree pairwise
         let mut keys = Vec::new();
@@ -139,24 +143,24 @@ proptest! {
         }
 
         let run = |ops: &[Op],
-                       oracle: &mut InternedStore,
-                       tiered: &mut TieredStore|
+                       oracle: &mut StateStore,
+                       tiered: &mut StateStore|
          -> Result<(), String> {
             for (i, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Mark { cfg, auto, candy } => {
-                        let k = oracle.pair(&keys[cfg as usize], auto as usize);
+                        let k = VisitTable::key(keys[cfg as usize], auto as usize);
                         prop_assert_eq!(
-                            oracle.mark(&k, phase(candy)),
-                            tiered.mark(&k, phase(candy)),
+                            oracle.mark(k, phase(candy)),
+                            tiered.mark(k, phase(candy)),
                             "op {i}: mark diverged"
                         );
                     }
                     Op::Probe { cfg, auto, candy } => {
-                        let k = oracle.pair(&keys[cfg as usize], auto as usize);
+                        let k = VisitTable::key(keys[cfg as usize], auto as usize);
                         prop_assert_eq!(
-                            oracle.is_marked(&k, phase(candy)),
-                            tiered.is_marked(&k, phase(candy)),
+                            oracle.is_marked(k, phase(candy)),
+                            tiered.is_marked(k, phase(candy)),
                             "op {i}: is_marked diverged"
                         );
                     }
@@ -179,7 +183,7 @@ proptest! {
         let mut w = ByteWriter::new();
         tiered.save_state(&mut w);
         let blob = w.into_inner();
-        let mut tiered = TieredStore::new(&params);
+        let mut tiered = tiered_store(&params);
         prop_assert!(
             tiered.load_state(&mut ByteReader::new(&blob)),
             "checkpoint payload must decode"

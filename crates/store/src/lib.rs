@@ -18,9 +18,10 @@
 //!
 //! The crate is deliberately std-only and knows nothing about
 //! configurations or automata: it stores `u64` keys and `u8` mark
-//! masks. `wave-core` adapts it to the `StateStore` trait; keeping the
-//! mechanics here lets the tiers be unit- and property-tested against
-//! a plain map oracle without dragging in the verifier.
+//! masks. `wave-core`'s `StateStore` keeps its visited marks here when
+//! the tiered store is selected; keeping the mechanics here lets the
+//! tiers be unit- and property-tested against a plain map oracle
+//! without dragging in the verifier.
 //!
 //! Every hash in the crate is fixed (splitmix64 variants), so eviction
 //! order, spill counters, and compaction counts are deterministic

@@ -27,9 +27,9 @@
 //! is a definite "new key", and a Bloom maybe is resolved by the exact
 //! cold probe — false positives cost a probe, never a miscount.
 //!
-//! Spill I/O failures (disk full, unlinked spill dir) panic: the trait
-//! contract has no error channel, and a store that silently dropped
-//! visited marks would turn the NDFS into a liveness bug.
+//! Spill I/O failures (disk full, unlinked spill dir) panic: `mark` has
+//! no error channel, and a store that silently dropped visited marks
+//! would turn the NDFS into a liveness bug.
 
 use crate::bloom::SplitBloom;
 use crate::hot::ClockTable;

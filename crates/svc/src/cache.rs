@@ -697,7 +697,7 @@ mod tests {
     fn state_store_backend_does_not_affect_fingerprint() {
         let base = fingerprint("s", "p", &options());
         let mut opts = options();
-        opts.state_store = wave_core::StateStoreKind::ByteKeys;
+        opts.state_store = wave_core::StateStoreKind::Tiered(wave_core::TierParams::default());
         assert_eq!(base, fingerprint("s", "p", &opts));
         opts.state_store = wave_core::StateStoreKind::Tiered(wave_core::TierParams {
             mem_bytes: 4 << 20,

@@ -648,18 +648,15 @@ pub fn parse_options(json: Option<&Json>) -> Result<VerifyOptions, String> {
                 options.slice = value.as_bool().ok_or("\"slice\" must be a boolean")?;
             }
             "state_store" => {
-                options.state_store =
-                    match value.as_str() {
-                        Some("interned") => wave_core::StateStoreKind::Interned,
-                        Some("byte_keys") => wave_core::StateStoreKind::ByteKeys,
-                        Some("tiered") => {
-                            wave_core::StateStoreKind::Tiered(wave_core::TierParams::default())
-                        }
-                        _ => return Err(
-                            "\"state_store\" must be \"interned\", \"byte_keys\", or \"tiered\""
-                                .to_string(),
-                        ),
-                    };
+                options.state_store = match value.as_str() {
+                    Some("interned") => wave_core::StateStoreKind::Interned,
+                    Some("tiered") => {
+                        wave_core::StateStoreKind::Tiered(wave_core::TierParams::default())
+                    }
+                    _ => {
+                        return Err("\"state_store\" must be \"interned\" or \"tiered\"".to_string())
+                    }
+                };
             }
             "store_mem_mb" => {
                 store_mem_mb = Some(value.as_u64().ok_or("\"store_mem_mb\" must be an integer")?);
@@ -724,9 +721,6 @@ pub fn options_to_json(options: &VerifyOptions) -> Json {
     match &options.state_store {
         wave_core::StateStoreKind::Interned => {
             pairs.push(("state_store", Json::from("interned")));
-        }
-        wave_core::StateStoreKind::ByteKeys => {
-            pairs.push(("state_store", Json::from("byte_keys")));
         }
         wave_core::StateStoreKind::Tiered(params) => {
             pairs.push(("state_store", Json::from("tiered")));
@@ -862,9 +856,12 @@ mod tests {
     #[test]
     fn state_store_option_parses_and_shares_cache_entries() {
         let opts =
-            parse_options(Some(&json::parse(r#"{"state_store":"byte_keys"}"#).unwrap())).unwrap();
-        assert_eq!(opts.state_store, wave_core::StateStoreKind::ByteKeys);
+            parse_options(Some(&json::parse(r#"{"state_store":"interned"}"#).unwrap())).unwrap();
+        assert_eq!(opts.state_store, wave_core::StateStoreKind::Interned);
         assert!(parse_options(Some(&json::parse(r#"{"state_store":"x"}"#).unwrap())).is_err());
+        let err = parse_options(Some(&json::parse(r#"{"state_store":"byte_keys"}"#).unwrap()))
+            .unwrap_err();
+        assert_eq!(err, r#""state_store" must be "interned" or "tiered""#);
 
         // a result computed under one backend is served to the other
         let svc = service();
@@ -874,7 +871,7 @@ mod tests {
         let request = Json::obj([
             ("spec", Json::from(MINI)),
             ("property", Json::from("G !@B")),
-            ("options", json::parse(r#"{"state_store":"byte_keys"}"#).unwrap()),
+            ("options", json::parse(r#"{"state_store":"tiered"}"#).unwrap()),
         ]);
         let second = &svc.run_request(&request, "b")[0];
         assert!(second.cached, "backends share cache entries");

@@ -89,14 +89,13 @@ check options:
   --exhaustive-equality   enumerate all C_∃ equality patterns
   --interpret             evaluate rules and property components directly
                           (no compiled plans)
-  --byte-keys             byte-keyed visit sets (interning ablation baseline)
   --naive-joins           nested-loop joins, no query memo (planner ablation
                           baseline; verdicts and statistics are unchanged)
   --no-slice              disable cone-of-influence property slicing
                           (dataflow ablation baseline; verdicts, traces,
                           and deterministic counters are unchanged)
-  --store <kind>          visited-state store: interned (default), byte, or
-                          tiered (Bloom front + bounded hot tier + disk spill)
+  --store <kind>          interned (default) or tiered (Bloom front + bounded
+                          hot tier + disk spill)
   --store-mem-mb <m>      tiered only: hot-tier byte budget in MiB (default 64)
   --spill-dir <dir>       tiered only: directory for spill segments
                           (default: a private temp dir, removed on exit)
@@ -259,9 +258,6 @@ fn cmd_check(rest: &[String]) -> ExitCode {
     if take_flag(&mut args, "--interpret") {
         options.use_plans = false;
     }
-    if take_flag(&mut args, "--byte-keys") {
-        options.state_store = wave::core::StateStoreKind::ByteKeys;
-    }
     if take_flag(&mut args, "--naive-joins") {
         options.naive_joins = true;
     }
@@ -273,10 +269,9 @@ fn cmd_check(rest: &[String]) -> ExitCode {
     if let Some(kind) = take_value(&mut args, "--store") {
         options.state_store = match kind.as_str() {
             "interned" => wave::core::StateStoreKind::Interned,
-            "byte" => wave::core::StateStoreKind::ByteKeys,
             "tiered" => wave::core::StateStoreKind::Tiered(wave::core::TierParams::default()),
             _ => {
-                eprintln!("--store must be interned, byte, or tiered, got {kind:?}");
+                eprintln!("--store must be interned or tiered, got {kind:?}");
                 return ExitCode::from(2);
             }
         };

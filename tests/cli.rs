@@ -148,13 +148,20 @@ fn deadline_exhaustion_never_reports_time_zero() {
 
 #[test]
 fn bad_usage_exits_two() {
+    let spec = spec_path("e1_shop.wave");
+    let spec = spec.to_str().unwrap();
     for args in [
         vec!["check", "/nonexistent.wave", "--property", "F @HP"],
         vec!["check"],
         vec!["frobnicate"],
+        vec!["check", spec, "--property", "F @HP", "--store", "byte"],
+        // a regular file cannot hold the tiered store's spill directory
+        vec!["check", spec, "--property", "F @HP", "--store", "tiered", "--spill-dir", spec],
     ] {
         let out = Command::new(wave_bin()).args(&args).output().expect("runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 
