@@ -5,12 +5,22 @@
 //! relations. Everything downstream — the W06xx lints, the verifier's
 //! rule-liveness slice, the memo-mask narrowing — reads the
 //! [`FlowReport`] this module produces.
+//!
+//! The fixpoint is a dependency worklist. Its nodes are the populating
+//! rules (option, insert and action rules, which feed their head
+//! relation) and the target edges (which make their target page
+//! reachable). A node is queued when its page first becomes reachable,
+//! and queued again only when a tracked relation its guard reads — an
+//! atom, current or `prev`, or an emptiness test — grows. Every transfer
+//! is monotone (more facts only un-refute a guard or widen a pin), so
+//! the least fixpoint, and with it the report, does not depend on the
+//! order the worklist runs in.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 
-use crate::absint::{eval, Env, Facts, Verdict3};
-use crate::lattice::{fixpoint, Values, Worklist};
-use wave_spec::{PageSchema, Spec};
+use crate::absint::{intern_constants, Evaluator, Facts, GuardId, Program, RelId, TrackedRel};
+use wave_spec::Spec;
 
 /// Which rule vector of a page a [`RuleRef`] indexes into. `State`
 /// covers both insert and delete rules (they share one vector in the
@@ -73,8 +83,6 @@ pub struct FlowReport {
     /// Per page: does it host a *live* delete rule? Pages without one
     /// can take the verifier's monotone insert fast path.
     pub page_has_live_delete: Vec<bool>,
-    /// Fixpoint rounds taken (diagnostic; bounded by the spec's constants).
-    pub rounds: usize,
 }
 
 impl FlowReport {
@@ -100,205 +108,289 @@ enum RelClass {
     Db,
     State,
     Action,
-    Input { constant: bool },
+    Input,
 }
 
-struct SpecIndex<'s> {
-    spec: &'s Spec,
-    class: BTreeMap<&'s str, RelClass>,
-    page_index: BTreeMap<&'s str, usize>,
+/// The relations whose emptiness and value sets the fixpoint tracks —
+/// state and action relations plus non-constant inputs, each once —
+/// and their dense ids. Database relations and input constants carry
+/// arbitrary instance data.
+fn tracked_relations(spec: &Spec) -> (Vec<TrackedRel>, HashMap<&str, RelId>) {
+    let mut class = BTreeMap::new();
+    for (r, _) in &spec.database {
+        class.insert(r.as_str(), RelClass::Db);
+    }
+    for (r, _) in &spec.states {
+        class.insert(r.as_str(), RelClass::State);
+    }
+    for (r, _) in &spec.actions {
+        class.insert(r.as_str(), RelClass::Action);
+    }
+    for i in &spec.inputs {
+        class.insert(i.name.as_str(), RelClass::Input);
+    }
+
+    // rules (across every page) that populate each relation, by kind
+    let mut inserts: HashMap<&str, usize> = HashMap::new();
+    let mut emits: HashMap<&str, usize> = HashMap::new();
+    let mut offers: HashMap<&str, usize> = HashMap::new();
+    for p in &spec.pages {
+        for r in p.state_rules.iter().filter(|r| r.insert) {
+            *inserts.entry(r.state.as_str()).or_default() += 1;
+        }
+        for r in &p.action_rules {
+            *emits.entry(r.action.as_str()).or_default() += 1;
+        }
+        for r in &p.option_rules {
+            *offers.entry(r.input.as_str()).or_default() += 1;
+        }
+    }
+    let count = |m: &HashMap<&str, usize>, rel: &str| m.get(rel).copied().unwrap_or(0);
+
+    let decls = spec.states.iter().chain(&spec.actions).map(|(r, a)| (r, *a));
+    let inputs = spec.inputs.iter().filter(|i| !i.constant).map(|i| (&i.name, i.arity));
+    let mut out: Vec<TrackedRel> = Vec::new();
+    let mut ids = HashMap::new();
+    for (rel, arity) in decls.chain(inputs) {
+        if let Some(&id) = ids.get(rel.as_str()) {
+            let seen: &mut TrackedRel = &mut out[id as usize];
+            seen.arity = seen.arity.max(arity);
+            continue;
+        }
+        ids.insert(rel.as_str(), out.len() as RelId);
+        let (writers, source) = match class.get(rel.as_str()) {
+            Some(RelClass::State) => (count(&inserts, rel), "the insert rules that populate it"),
+            Some(RelClass::Action) => (count(&emits, rel), "the action rules that emit it"),
+            Some(RelClass::Input) => (count(&offers, rel), "the option rules that offer it"),
+            _ => (0, "the rules that populate it"),
+        };
+        out.push(TrackedRel::new(rel.clone(), arity, writers, source));
+    }
+    (out, ids)
+}
+
+/// What an unrefuted guard does in the fixpoint.
+#[derive(Clone, Copy)]
+enum Effect {
+    /// Feed the head pins into a tracked relation.
+    Feed(RelId),
+    /// Make a page reachable.
+    Enter(usize),
+    /// Nothing: delete rules, rules populating untracked relations,
+    /// edges to undeclared pages.
+    Inert,
+}
+
+/// One rule of the spec, compiled.
+struct Rule {
+    at: RuleRef,
+    guard: GuardId,
+    effect: Effect,
+}
+
+/// FIFO of rules waiting for (re-)evaluation. A rule already waiting is
+/// not queued twice; once popped it can be queued again.
+struct Worklist {
+    queue: VecDeque<usize>,
+    waiting: Vec<bool>,
+}
+
+impl Worklist {
+    fn new(len: usize) -> Worklist {
+        Worklist { queue: VecDeque::new(), waiting: vec![false; len] }
+    }
+
+    /// Queue `item` unless it is already waiting; `true` if queued.
+    fn push(&mut self, item: usize) -> bool {
+        let fresh = !std::mem::replace(&mut self.waiting[item], true);
+        if fresh {
+            self.queue.push_back(item);
+        }
+        fresh
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let item = self.queue.pop_front()?;
+        self.waiting[item] = false;
+        Some(item)
+    }
+}
+
+/// The compiled spec the fixpoint runs over.
+struct Graph {
+    /// Every rule in page / kind / index order.
+    rules: Vec<Rule>,
+    /// Each page's rules, as a range of `rules`.
+    pages: Vec<Range<usize>>,
+    /// Per tracked relation, the non-inert rules whose guards read it.
+    readers: Vec<Vec<usize>>,
     home: usize,
 }
 
-impl<'s> SpecIndex<'s> {
-    fn new(spec: &'s Spec) -> SpecIndex<'s> {
-        let mut class = BTreeMap::new();
-        for (r, _) in &spec.database {
-            class.insert(r.as_str(), RelClass::Db);
-        }
-        for (r, _) in &spec.states {
-            class.insert(r.as_str(), RelClass::State);
-        }
-        for (r, _) in &spec.actions {
-            class.insert(r.as_str(), RelClass::Action);
-        }
-        for i in &spec.inputs {
-            class.insert(i.name.as_str(), RelClass::Input { constant: i.constant });
-        }
-        let page_index: BTreeMap<&str, usize> =
+impl Graph {
+    fn compile<'s>(
+        spec: &'s Spec,
+        prog: &mut Program<'s>,
+        rel_ids: &HashMap<&str, RelId>,
+    ) -> Graph {
+        let page_index: HashMap<&str, usize> =
             spec.pages.iter().enumerate().map(|(i, p)| (p.name.as_str(), i)).collect();
-        let home = page_index.get(spec.home.as_str()).copied().unwrap_or(0);
-        SpecIndex { spec, class, page_index, home }
-    }
-
-    /// Relations whose emptiness and value sets the fixpoint tracks:
-    /// state and action relations plus non-constant inputs. Database
-    /// relations and input constants carry arbitrary instance data.
-    fn tracked(&self) -> Vec<(String, usize)> {
-        let mut out = Vec::new();
-        for (r, a) in self.spec.states.iter().chain(&self.spec.actions) {
-            out.push((r.clone(), *a));
-        }
-        for i in &self.spec.inputs {
-            if !i.constant {
-                out.push((i.name.clone(), i.arity));
+        let feed = |rel: &str| rel_ids.get(rel).map_or(Effect::Inert, |&r| Effect::Feed(r));
+        let mut rules = Vec::new();
+        let mut pages = Vec::new();
+        for (pi, p) in spec.pages.iter().enumerate() {
+            let start = rules.len();
+            let page = p.name.as_str();
+            let mut add = |kind, index, guard, effect| {
+                rules.push(Rule { at: RuleRef { page: pi, kind, index }, guard, effect });
+            };
+            for (i, r) in p.option_rules.iter().enumerate() {
+                add(RuleKind::Option, i, prog.guard(&r.body, page, &r.head), feed(&r.input));
             }
+            for (i, r) in p.state_rules.iter().enumerate() {
+                let effect = if r.insert { feed(&r.state) } else { Effect::Inert };
+                add(RuleKind::State, i, prog.guard(&r.body, page, &r.head), effect);
+            }
+            for (i, r) in p.action_rules.iter().enumerate() {
+                add(RuleKind::Action, i, prog.guard(&r.body, page, &r.head), feed(&r.action));
+            }
+            for (i, t) in p.target_rules.iter().enumerate() {
+                let effect = page_index
+                    .get(t.target.as_str())
+                    .map_or(Effect::Inert, |&ti| Effect::Enter(ti));
+                add(RuleKind::Target, i, prog.guard(&t.condition, page, &[]), effect);
+            }
+            pages.push(start..rules.len());
         }
-        out
-    }
 
-    /// Rules (across every page) that populate `rel`.
-    fn writers(&self, rel: &str) -> usize {
-        self.spec
-            .pages
-            .iter()
-            .map(|p| match self.class.get(rel) {
-                Some(RelClass::State) => {
-                    p.state_rules.iter().filter(|r| r.insert && r.state == rel).count()
-                }
-                Some(RelClass::Action) => p.action_rules.iter().filter(|r| r.action == rel).count(),
-                Some(RelClass::Input { .. }) => {
-                    p.option_rules.iter().filter(|r| r.input == rel).count()
-                }
-                _ => 0,
-            })
-            .sum()
-    }
-
-    fn populate_phrase(&self, rel: &str) -> &'static str {
-        match self.class.get(rel) {
-            Some(RelClass::State) => "the insert rules that populate it",
-            Some(RelClass::Action) => "the action rules that emit it",
-            Some(RelClass::Input { .. }) => "the option rules that offer it",
-            _ => "the rules that populate it",
-        }
-    }
-}
-
-/// Pages reachable from home via target edges whose conditions the
-/// current facts cannot refute.
-fn reachable_pages(idx: &SpecIndex<'_>, facts: &Facts) -> BTreeSet<usize> {
-    let mut wl = Worklist::new();
-    wl.push(idx.home);
-    while let Some(pi) = wl.pop() {
-        let page = &idx.spec.pages[pi];
-        for t in &page.target_rules {
-            let mut env = Env::new();
-            if matches!(eval(&t.condition, &page.name, facts, &mut env), Verdict3::False(_)) {
+        let mut readers = vec![Vec::new(); rel_ids.len()];
+        for (ri, rule) in rules.iter().enumerate() {
+            if matches!(rule.effect, Effect::Inert) {
                 continue;
             }
-            if let Some(&ti) = idx.page_index.get(t.target.as_str()) {
-                wl.push(ti);
+            for rel in prog.reads(rule.guard) {
+                // a rule's reads are pushed together, so a repeat is last
+                let list: &mut Vec<usize> = &mut readers[rel as usize];
+                if list.last() != Some(&ri) {
+                    list.push(ri);
+                }
+            }
+        }
+        let home = page_index.get(spec.home.as_str()).copied().unwrap_or(0);
+        Graph { rules, pages, readers, home }
+    }
+
+    /// Run the worklist to the least fixpoint, growing `facts`; returns
+    /// which pages are reachable.
+    fn solve(&self, ev: &mut Evaluator<'_, '_>, facts: &mut Facts) -> Vec<bool> {
+        let mut reachable = vec![false; self.pages.len()];
+        let mut work = Worklist::new(self.rules.len());
+        let enter = |page: usize, reachable: &mut [bool], work: &mut Worklist| {
+            if !std::mem::replace(&mut reachable[page], true) {
+                for ri in self.pages[page].clone() {
+                    if !matches!(self.rules[ri].effect, Effect::Inert) {
+                        work.push(ri);
+                    }
+                }
+            }
+        };
+        if self.home < self.pages.len() {
+            enter(self.home, &mut reachable, &mut work);
+        }
+        while let Some(ri) = work.pop() {
+            let rule = &self.rules[ri];
+            match rule.effect {
+                // an edge into a reached page has nothing left to add
+                Effect::Enter(target) if reachable[target] => continue,
+                _ if ev.refutes(rule.guard, facts) => continue,
+                Effect::Feed(rel) => {
+                    if facts.feed(rel, ev.head(rule.guard)) {
+                        for &reader in &self.readers[rel as usize] {
+                            if reachable[self.rules[reader].at.page] {
+                                work.push(reader);
+                            }
+                        }
+                    }
+                }
+                Effect::Enter(target) => enter(target, &mut reachable, &mut work),
+                Effect::Inert => {}
+            }
+        }
+        reachable
+    }
+
+    /// The closure check behind the worklist's re-queue edges: against
+    /// the final facts, no rule on a reachable page could grow a relation
+    /// or reach a new page. A missed re-queue fails here — and would
+    /// otherwise make the slice drop a live rule.
+    #[cfg(debug_assertions)]
+    fn assert_closed(&self, ev: &mut Evaluator<'_, '_>, facts: &Facts, reachable: &[bool]) {
+        for rule in &self.rules {
+            if !reachable[rule.at.page] || ev.refutes(rule.guard, facts) {
+                continue;
+            }
+            match rule.effect {
+                Effect::Feed(rel) => {
+                    let mut probe = facts.clone();
+                    assert!(
+                        !probe.feed(rel, ev.head(rule.guard)),
+                        "flow fixpoint not closed: {:?} still grows its relation",
+                        rule.at
+                    );
+                }
+                Effect::Enter(target) => assert!(
+                    reachable[target],
+                    "flow fixpoint not closed: {:?} reaches an unreached page",
+                    rule.at
+                ),
+                Effect::Inert => {}
             }
         }
     }
-    wl.seen().clone()
-}
-
-/// Evaluate a rule body and, if it survives, feed the head relation's
-/// facts. Returns whether the facts grew.
-fn feed_rule(
-    facts: &mut Facts,
-    snapshot: &Facts,
-    page: &PageSchema,
-    rel: &str,
-    head: &[String],
-    body: &wave_fol::Formula,
-) -> bool {
-    let mut env = Env::new();
-    if matches!(eval(body, &page.name, snapshot, &mut env), Verdict3::False(_)) {
-        return false;
-    }
-    let cols: Vec<Values> = head.iter().map(|v| env.pin(v)).collect();
-    facts.feed(rel, &cols)
 }
 
 /// Run the combined reachability / emptiness / value-set least fixpoint
 /// and classify every rule, page, and relation of `spec`.
 pub fn analyze(spec: &Spec) -> FlowReport {
-    let idx = SpecIndex::new(spec);
-    let mut facts = Facts::bottom(idx.tracked());
-
-    let rounds = fixpoint(|| {
-        let snapshot = facts.clone();
-        let reach = reachable_pages(&idx, &snapshot);
-        let mut changed = false;
-        for &pi in &reach {
-            let page = &spec.pages[pi];
-            for r in &page.option_rules {
-                changed |= feed_rule(&mut facts, &snapshot, page, &r.input, &r.head, &r.body);
-            }
-            for r in page.state_rules.iter().filter(|r| r.insert) {
-                changed |= feed_rule(&mut facts, &snapshot, page, &r.state, &r.head, &r.body);
-            }
-            for r in &page.action_rules {
-                changed |= feed_rule(&mut facts, &snapshot, page, &r.action, &r.head, &r.body);
-            }
-        }
-        changed
+    let (tracked, rel_ids) = tracked_relations(spec);
+    let bodies = spec.pages.iter().flat_map(|p| {
+        let opts = p.option_rules.iter().map(|r| &r.body);
+        let states = p.state_rules.iter().map(|r| &r.body);
+        let acts = p.action_rules.iter().map(|r| &r.body);
+        opts.chain(states).chain(acts).chain(p.target_rules.iter().map(|t| &t.condition))
     });
+    let consts = intern_constants(bodies);
+    let mut prog = Program::new(&consts, rel_ids.clone());
+    let graph = Graph::compile(spec, &mut prog, &rel_ids);
+    let mut facts = Facts::bottom(consts.iter().map(|c| c.to_string()).collect(), tracked);
 
-    // provenance for the classification pass and downstream diagnostics
-    let empty: Vec<String> = facts.empty_tracked().map(str::to_string).collect();
-    for rel in &empty {
-        let reason = if idx.writers(rel) == 0 {
-            format!("relation `{rel}` can never hold a tuple: no rule populates it")
-        } else {
-            format!(
-                "relation `{rel}` can never hold a tuple: every rule that populates it is \
-                 statically dead or sits on an unreachable page"
-            )
-        };
-        facts.empty_reason.insert(rel.clone(), reason);
-    }
-    for (rel, _) in idx.tracked() {
-        facts.column_source.insert(rel.clone(), idx.populate_phrase(&rel).to_string());
-    }
+    let mut ev = Evaluator::new(&prog);
+    let reachable = graph.solve(&mut ev, &mut facts);
+    #[cfg(debug_assertions)]
+    graph.assert_closed(&mut ev, &facts, &reachable);
 
-    // classification: final reachability, then re-evaluate every guard
-    let reachable = reachable_pages(&idx, &facts);
+    // classification: every guard on every page, reachable or not; only
+    // a refuted one is evaluated again, with its provenance rendered
     let mut dead = Vec::new();
     let mut dead_set = BTreeSet::new();
-    for (pi, page) in spec.pages.iter().enumerate() {
-        let mut judge = |kind: RuleKind, index: usize, body: &wave_fol::Formula| {
-            let mut env = Env::new();
-            if let Verdict3::False(notes) = eval(body, &page.name, &facts, &mut env) {
-                let rule = RuleRef { page: pi, kind, index };
-                dead_set.insert(rule);
-                dead.push(DeadRule { rule, notes });
-            }
-        };
-        for (i, r) in page.option_rules.iter().enumerate() {
-            judge(RuleKind::Option, i, &r.body);
-        }
-        for (i, r) in page.state_rules.iter().enumerate() {
-            judge(RuleKind::State, i, &r.body);
-        }
-        for (i, r) in page.action_rules.iter().enumerate() {
-            judge(RuleKind::Action, i, &r.body);
-        }
-        for (i, r) in page.target_rules.iter().enumerate() {
-            judge(RuleKind::Target, i, &r.condition);
+    for rule in &graph.rules {
+        if ev.refutes(rule.guard, &facts) {
+            dead_set.insert(rule.at);
+            dead.push(DeadRule { rule: rule.at, notes: ev.explain(rule.guard, &facts) });
         }
     }
 
-    let unreachable_pages: Vec<usize> =
-        (0..spec.pages.len()).filter(|pi| !reachable.contains(pi)).collect();
+    let reachable_pages: BTreeSet<usize> =
+        (0..spec.pages.len()).filter(|&p| reachable[p]).collect();
+    let unreachable_pages: Vec<usize> = (0..spec.pages.len()).filter(|&p| !reachable[p]).collect();
 
-    let never_nonempty: BTreeSet<String> = facts.empty_tracked().map(str::to_string).collect();
-    let always_empty: Vec<EmptyRel> = never_nonempty
+    let mut empty: Vec<&TrackedRel> = facts.empty_tracked().collect();
+    empty.sort_by(|a, b| a.name.cmp(&b.name));
+    let never_nonempty: BTreeSet<String> = empty.iter().map(|r| r.name.clone()).collect();
+    let always_empty: Vec<EmptyRel> = empty
         .iter()
-        .map(|rel| (rel, idx.writers(rel)))
-        .filter(|(_, w)| *w > 0)
-        .map(|(rel, writers)| EmptyRel {
-            rel: rel.clone(),
-            writers,
-            note: facts
-                .empty_reason
-                .get(rel)
-                .cloned()
-                .unwrap_or_else(|| format!("relation `{rel}` can never hold a tuple")),
-        })
+        .filter(|r| r.writers > 0)
+        .map(|r| EmptyRel { rel: r.name.clone(), writers: r.writers, note: r.why_empty() })
         .collect();
 
     // monotonicity: inserted somewhere, and no *live* delete rule — a
@@ -306,9 +398,8 @@ pub fn analyze(spec: &Spec) -> FlowReport {
     // never fire, so the relation only ever grows. Relations that can
     // never hold a tuple are vacuously monotone; their useful diagnostic
     // is W0602, so they are excluded here.
-    let is_live = |pi: usize, i: usize| {
-        reachable.contains(&pi)
-            && !dead_set.contains(&RuleRef { page: pi, kind: RuleKind::State, index: i })
+    let live_delete = |pi: usize, i: usize| {
+        reachable[pi] && !dead_set.contains(&RuleRef { page: pi, kind: RuleKind::State, index: i })
     };
     let monotone: Vec<String> = spec
         .states
@@ -323,7 +414,7 @@ pub fn analyze(spec: &Spec) -> FlowReport {
                     if &r.state == *s {
                         if r.insert {
                             inserts += 1;
-                        } else if is_live(pi, i) {
+                        } else if live_delete(pi, i) {
                             live_deletes += 1;
                         }
                     }
@@ -339,15 +430,7 @@ pub fn analyze(spec: &Spec) -> FlowReport {
         .iter()
         .enumerate()
         .map(|(pi, p)| {
-            reachable.contains(&pi)
-                && p.state_rules.iter().enumerate().any(|(i, r)| {
-                    !r.insert
-                        && !dead_set.contains(&RuleRef {
-                            page: pi,
-                            kind: RuleKind::State,
-                            index: i,
-                        })
-                })
+            p.state_rules.iter().enumerate().any(|(i, r)| !r.insert && live_delete(pi, i))
         })
         .collect();
 
@@ -355,116 +438,13 @@ pub fn analyze(spec: &Spec) -> FlowReport {
         facts,
         dead,
         dead_set,
-        reachable_pages: reachable,
+        reachable_pages,
         unreachable_pages,
         always_empty,
         never_nonempty,
         monotone,
         page_has_live_delete,
-        rounds,
     }
-}
-
-/// The cone of influence of a property: the least set of relations and
-/// pages that can affect the property's observables, closed backwards
-/// through rule bodies and target edges. Reported for diagnostics and
-/// the DESIGN §14 accounting; the runtime slice itself is realized by
-/// rule liveness plus the verifier's existing observable projection,
-/// which together refine this cone.
-#[derive(Clone, Debug, Default)]
-pub struct Cone {
-    pub relations: BTreeSet<String>,
-    pub pages: BTreeSet<String>,
-    /// Rules inside the cone vs all rules in the spec.
-    pub rules_in: usize,
-    pub rules_total: usize,
-}
-
-/// Relations an atom-bearing formula reads (positive, negated, or via
-/// emptiness tests).
-fn body_reads(f: &wave_fol::Formula, out: &mut BTreeSet<String>) {
-    f.visit_atoms(&mut |a| {
-        out.insert(a.rel.clone());
-    });
-    collect_input_empty(f, out);
-}
-
-fn collect_input_empty(f: &wave_fol::Formula, out: &mut BTreeSet<String>) {
-    use wave_fol::Formula as F;
-    match f {
-        F::InputEmpty { rel, .. } => {
-            out.insert(rel.clone());
-        }
-        F::Not(x) | F::Exists(_, x) | F::Forall(_, x) => collect_input_empty(x, out),
-        F::And(xs) | F::Or(xs) => xs.iter().for_each(|x| collect_input_empty(x, out)),
-        F::Implies(a, b) => {
-            collect_input_empty(a, out);
-            collect_input_empty(b, out);
-        }
-        _ => {}
-    }
-}
-
-/// Compute the cone of influence from a seed set of observable
-/// relations and pages (the names a property mentions).
-pub fn cone_of_influence(
-    spec: &Spec,
-    observable_rels: &BTreeSet<String>,
-    observable_pages: &BTreeSet<String>,
-) -> Cone {
-    let mut cone = Cone {
-        relations: observable_rels.clone(),
-        pages: observable_pages.clone(),
-        ..Cone::default()
-    };
-    fixpoint(|| {
-        let before = (cone.relations.len(), cone.pages.len());
-        for page in &spec.pages {
-            let mut pull = |rel: &str, body: &wave_fol::Formula| {
-                if cone.relations.contains(rel) {
-                    body_reads(body, &mut cone.relations);
-                    cone.pages.insert(page.name.clone());
-                }
-            };
-            for r in &page.option_rules {
-                pull(&r.input, &r.body);
-            }
-            for r in &page.state_rules {
-                pull(&r.state, &r.body);
-            }
-            for r in &page.action_rules {
-                pull(&r.action, &r.body);
-            }
-            for t in &page.target_rules {
-                if cone.pages.contains(&t.target) {
-                    body_reads(&t.condition, &mut cone.relations);
-                    cone.pages.insert(page.name.clone());
-                }
-            }
-        }
-        (cone.relations.len(), cone.pages.len()) != before
-    });
-
-    for page in &spec.pages {
-        let in_page = cone.pages.contains(&page.name);
-        for r in &page.option_rules {
-            cone.rules_total += 1;
-            cone.rules_in += usize::from(in_page && cone.relations.contains(&r.input));
-        }
-        for r in &page.state_rules {
-            cone.rules_total += 1;
-            cone.rules_in += usize::from(in_page && cone.relations.contains(&r.state));
-        }
-        for r in &page.action_rules {
-            cone.rules_total += 1;
-            cone.rules_in += usize::from(in_page && cone.relations.contains(&r.action));
-        }
-        for t in &page.target_rules {
-            cone.rules_total += 1;
-            cone.rules_in += usize::from(in_page && cone.pages.contains(&t.target));
-        }
-    }
-    cone
 }
 
 #[cfg(test)]
@@ -553,18 +533,64 @@ mod tests {
         assert_eq!(vals.describe(), "{\"go\", \"stay\"}");
     }
 
+    /// Facts that appear only after the first evaluation of a guard must
+    /// re-queue it: `C` is reached through an edge that reads `seen`,
+    /// which only page `B` inserts into, and page `C` is the only writer
+    /// of the value `"late"` that unlocks page `D`.
     #[test]
-    fn cone_pulls_dependencies_backwards() {
-        let spec = dirty();
-        let mut rels = BTreeSet::new();
-        rels.insert("noted".to_string());
-        let cone = cone_of_influence(&spec, &rels, &BTreeSet::new());
-        assert!(cone.relations.contains("pick"), "noted reads pick");
-        assert!(cone.pages.contains("A"));
-        // ghost guards a target edge into a cone page, so it is pulled in;
-        // log is read by nothing and stays out
-        assert!(cone.relations.contains("ghost"));
-        assert!(!cone.relations.contains("log"));
-        assert!(cone.rules_in < cone.rules_total);
+    fn growth_requeues_the_guards_that_read_it() {
+        let spec = parse_spec(
+            r#"
+            spec chain {
+              state { seen(x); mark(x); }
+              inputs { pick(choice); }
+              home A;
+              page A {
+                inputs { pick }
+                options pick(c) <- c = "go";
+                target C <- seen("b") & prev mark("late");
+                target C <- seen("b");
+                target B <- pick("go");
+              }
+              page B {
+                inputs { pick }
+                options pick(c) <- c = "go";
+                insert seen(c) <- c = "b";
+                target A <- pick("go");
+              }
+              page C {
+                inputs { pick }
+                options pick(c) <- c = "go" | c = "late";
+                insert mark(c) <- pick(c);
+                target D <- mark("late");
+              }
+              page D {
+                inputs { pick }
+                options pick(c) <- c = "go";
+                target A <- true;
+              }
+            }
+            "#,
+        )
+        .expect("chain spec parses");
+        let report = analyze(&spec);
+        assert!(report.dead.is_empty(), "{:?}", report.dead);
+        assert!(report.unreachable_pages.is_empty(), "{:?}", report.unreachable_pages);
+        assert_eq!(report.facts.column("pick", 0).describe(), "{\"go\", \"late\"}");
+        assert_eq!(report.facts.column("mark", 0).describe(), "{\"go\", \"late\"}");
+        assert_eq!(report.facts.column("seen", 0).describe(), "{\"b\"}");
+    }
+
+    #[test]
+    fn worklist_dedups_while_waiting() {
+        let mut w = Worklist::new(3);
+        assert!(w.push(1));
+        assert!(!w.push(1), "a waiting item is not queued twice");
+        assert!(w.push(2));
+        assert_eq!(w.pop(), Some(1));
+        assert!(w.push(1), "a popped item can be queued again");
+        assert_eq!(w.pop(), Some(2));
+        assert_eq!(w.pop(), Some(1));
+        assert_eq!(w.pop(), None);
     }
 }

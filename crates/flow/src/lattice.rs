@@ -1,210 +1,310 @@
-//! The per-pass lattices of the flow framework.
+//! The value-set lattice of the flow framework.
 //!
 //! Every analysis in this crate runs as a *least* fixpoint: facts start
 //! at ⊥ (optimistic — nothing reachable, every tracked relation empty,
 //! every tracked column carrying no value) and only grow until stable.
-//! The lattices here are deliberately finite: value sets draw from the
-//! constants written in the spec, so the chain height is bounded by the
-//! spec text itself and termination is structural, not fuel-based.
+//! Value sets draw from the constants written in the spec, so the chain
+//! height is bounded by the spec text itself and termination is
+//! structural, not fuel-based.
+//!
+//! Constants are interned once per analysis, in text order, so a value
+//! set is a bitset over constant ids and walking its bits visits the
+//! constants sorted by text. A [`SetTable`] stores many sets of one
+//! width back to back — the columns of every tracked relation, or the
+//! pins of every equality class in a scope — so copying, joining and
+//! meeting them reuses the table's storage instead of allocating.
 
-use std::collections::BTreeSet;
-
-/// Three-valued truth, ordered by information: `Unknown` is the top of
-/// the approximation (could be either), `True`/`False` are definite.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tri {
-    True,
-    False,
-    Unknown,
-}
-
-impl std::ops::Not for Tri {
-    type Output = Tri;
-
-    /// Three-valued negation.
-    fn not(self) -> Tri {
-        match self {
-            Tri::True => Tri::False,
-            Tri::False => Tri::True,
-            Tri::Unknown => Tri::Unknown,
-        }
-    }
-}
-
-impl Tri {
-    /// Three-valued conjunction (Kleene).
-    #[must_use]
-    pub fn and(self, other: Tri) -> Tri {
-        match (self, other) {
-            (Tri::False, _) | (_, Tri::False) => Tri::False,
-            (Tri::True, Tri::True) => Tri::True,
-            _ => Tri::Unknown,
-        }
-    }
-
-    /// Three-valued disjunction (Kleene).
-    #[must_use]
-    pub fn or(self, other: Tri) -> Tri {
-        match (self, other) {
-            (Tri::True, _) | (_, Tri::True) => Tri::True,
-            (Tri::False, Tri::False) => Tri::False,
-            _ => Tri::Unknown,
-        }
-    }
-}
-
-/// Over-approximation of the constants a relation column (or a pinned
-/// variable) can carry: either a finite set drawn from the spec's
-/// constants, or ⊤ (any value, including data never written in the
-/// spec — database columns, input-constant witnesses).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Values {
+/// One value set, viewed out of a [`SetTable`] or named directly: ⊤
+/// (any value, including data never written in the spec — database
+/// columns, input-constant witnesses), a bitset over constant ids, or a
+/// single constant.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Vals<'a> {
     Top,
-    Set(BTreeSet<String>),
+    Set(&'a [u64]),
+    One(u32),
 }
 
-impl Values {
-    /// ⊥: no value at all (the column of a never-populated relation).
-    pub fn bottom() -> Values {
-        Values::Set(BTreeSet::new())
-    }
+fn has_bit(bits: &[u64], c: u32) -> bool {
+    bits[c as usize / 64] & (1 << (c % 64)) != 0
+}
 
-    /// Least upper bound; `true` if `self` grew.
-    pub fn join(&mut self, other: &Values) -> bool {
-        match (&mut *self, other) {
-            (Values::Top, _) => false,
-            (slot @ Values::Set(_), Values::Top) => {
-                *slot = Values::Top;
-                true
-            }
-            (Values::Set(a), Values::Set(b)) => {
-                let before = a.len();
-                a.extend(b.iter().cloned());
-                a.len() != before
-            }
-        }
-    }
-
-    /// Greatest lower bound (used when *pinning* a variable: each
-    /// constraint narrows what it may be).
-    #[must_use]
-    pub fn meet(&self, other: &Values) -> Values {
-        match (self, other) {
-            (Values::Top, v) | (v, Values::Top) => v.clone(),
-            (Values::Set(a), Values::Set(b)) => Values::Set(a.intersection(b).cloned().collect()),
-        }
-    }
-
+impl Vals<'_> {
     /// Could this column carry constant `c`?
-    pub fn admits(&self, c: &str) -> bool {
+    pub(crate) fn admits(self, c: u32) -> bool {
         match self {
-            Values::Top => true,
-            Values::Set(s) => s.contains(c),
+            Vals::Top => true,
+            Vals::Set(bits) => has_bit(bits, c),
+            Vals::One(k) => k == c,
+        }
+    }
+
+    /// Exactly the one constant `c`?
+    pub(crate) fn is_only(self, c: u32) -> bool {
+        match self {
+            Vals::Top => false,
+            Vals::Set(bits) => {
+                has_bit(bits, c) && bits.iter().map(|w| w.count_ones()).sum::<u32>() == 1
+            }
+            Vals::One(k) => k == c,
+        }
+    }
+
+    /// Both finite, with no constant in common?
+    pub(crate) fn disjoint(self, other: Vals<'_>) -> bool {
+        match (self, other) {
+            (Vals::Top, _) | (_, Vals::Top) => false,
+            (Vals::One(c), v) | (v, Vals::One(c)) => !v.admits(c),
+            (Vals::Set(a), Vals::Set(b)) => a.iter().zip(b).all(|(x, y)| x & y == 0),
+        }
+    }
+
+    /// Render for provenance notes: `{"a", "b"}` (sorted by constant
+    /// text, which is id order) or `any value` for ⊤.
+    pub(crate) fn describe(self, consts: &[String]) -> String {
+        let items: Vec<String> = match self {
+            Vals::Top => return "any value".to_string(),
+            Vals::One(c) => vec![format!("{:?}", consts[c as usize])],
+            Vals::Set(bits) => (0..consts.len() as u32)
+                .filter(|&c| has_bit(bits, c))
+                .map(|c| format!("{:?}", consts[c as usize]))
+                .collect(),
+        };
+        format!("{{{}}}", items.join(", "))
+    }
+}
+
+/// Value sets of one width (`words` 64-bit words each), stored back to
+/// back and addressed by index.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SetTable {
+    words: usize,
+    top: Vec<bool>,
+    bits: Vec<u64>,
+}
+
+impl SetTable {
+    /// An empty table of sets over `consts` constants.
+    pub(crate) fn new(consts: usize) -> SetTable {
+        let mut t = SetTable::default();
+        t.reset(consts);
+        t
+    }
+
+    /// Drop every entry (keeping the storage) and set the width.
+    pub(crate) fn reset(&mut self, consts: usize) {
+        self.words = consts.div_ceil(64);
+        self.top.clear();
+        self.bits.clear();
+    }
+
+    /// Make this table an exact copy of `other`, reusing storage.
+    pub(crate) fn copy_from(&mut self, other: &SetTable) {
+        self.words = other.words;
+        self.top.clone_from(&other.top);
+        self.bits.clone_from(&other.bits);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.top.len()
+    }
+
+    /// Append a ⊤ (`top`) or ⊥ entry; returns its index.
+    pub(crate) fn push(&mut self, top: bool) -> usize {
+        self.top.push(top);
+        self.bits.resize(self.bits.len() + self.words, 0);
+        self.top.len() - 1
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    pub(crate) fn get(&self, i: usize) -> Vals<'_> {
+        if self.top[i] {
+            Vals::Top
+        } else {
+            Vals::Set(self.row(i))
         }
     }
 
     /// Definitely no value at all?
-    pub fn is_empty(&self) -> bool {
-        matches!(self, Values::Set(s) if s.is_empty())
+    pub(crate) fn is_bottom(&self, i: usize) -> bool {
+        !self.top[i] && self.row(i).iter().all(|&w| w == 0)
     }
 
-    /// Render for provenance notes: `{"a", "b"}` or `⊤`.
-    pub fn describe(&self) -> String {
-        match self {
-            Values::Top => "any value".to_string(),
-            Values::Set(s) => {
-                let items: Vec<String> = s.iter().map(|c| format!("{c:?}")).collect();
-                format!("{{{}}}", items.join(", "))
+    /// Least upper bound into entry `i`; `true` if it grew.
+    pub(crate) fn join(&mut self, i: usize, v: Vals<'_>) -> bool {
+        if self.top[i] {
+            return false;
+        }
+        match v {
+            Vals::Top => {
+                self.top[i] = true;
+                true
+            }
+            Vals::Set(src) => {
+                let mut grew = false;
+                for (d, s) in self.row_mut(i).iter_mut().zip(src) {
+                    grew |= *s & !*d != 0;
+                    *d |= s;
+                }
+                grew
+            }
+            Vals::One(c) => {
+                let (w, b) = (c as usize / 64, 1u64 << (c % 64));
+                let slot = &mut self.row_mut(i)[w];
+                let grew = *slot & b == 0;
+                *slot |= b;
+                grew
             }
         }
     }
-}
 
-/// A dedup-on-insert worklist: the driver of every solver in this
-/// crate. Pushing an item already seen is a no-op, so each node is
-/// processed once per "round" of the enclosing fixpoint.
-#[derive(Default)]
-pub struct Worklist<T: Ord + Clone> {
-    queue: std::collections::VecDeque<T>,
-    seen: BTreeSet<T>,
-}
-
-impl<T: Ord + Clone> Worklist<T> {
-    pub fn new() -> Worklist<T> {
-        Worklist { queue: std::collections::VecDeque::new(), seen: BTreeSet::new() }
-    }
-
-    /// Enqueue `item` unless it was ever enqueued before.
-    pub fn push(&mut self, item: T) -> bool {
-        if self.seen.insert(item.clone()) {
-            self.queue.push_back(item);
-            true
-        } else {
-            false
+    /// Greatest lower bound into entry `i` (pinning a variable: each
+    /// constraint narrows what it may be); `true` if it changed.
+    pub(crate) fn meet(&mut self, i: usize, v: Vals<'_>) -> bool {
+        match v {
+            Vals::Top => false,
+            Vals::Set(src) => {
+                if std::mem::take(&mut self.top[i]) {
+                    self.row_mut(i).copy_from_slice(src);
+                    return true;
+                }
+                let mut changed = false;
+                for (d, s) in self.row_mut(i).iter_mut().zip(src) {
+                    changed |= *d & !s != 0;
+                    *d &= s;
+                }
+                changed
+            }
+            Vals::One(c) => {
+                let was_top = std::mem::take(&mut self.top[i]);
+                let (w, b) = (c as usize / 64, 1u64 << (c % 64));
+                let row = self.row_mut(i);
+                let kept = was_top || row[w] & b != 0;
+                let before: u32 = row.iter().map(|x| x.count_ones()).sum();
+                row.fill(0);
+                if kept {
+                    row[w] = b;
+                }
+                // the result is a subset of a finite entry: it changed
+                // exactly when it lost constants
+                was_top || before != u32::from(kept)
+            }
         }
     }
 
-    pub fn pop(&mut self) -> Option<T> {
-        self.queue.pop_front()
+    /// Narrow entry `i` by entry `j` of the same table; `true` if `i`
+    /// changed.
+    pub(crate) fn meet_entry(&mut self, i: usize, j: usize) -> bool {
+        if self.top[j] {
+            return false;
+        }
+        let w = self.words;
+        if std::mem::take(&mut self.top[i]) {
+            self.bits.copy_within(j * w..(j + 1) * w, i * w);
+            return true;
+        }
+        let mut changed = false;
+        for k in 0..w {
+            let s = self.bits[j * w + k];
+            let d = &mut self.bits[i * w + k];
+            changed |= *d & !s != 0;
+            *d &= s;
+        }
+        changed
     }
-
-    /// Everything ever enqueued (the reached set, for reachability uses).
-    pub fn seen(&self) -> &BTreeSet<T> {
-        &self.seen
-    }
-}
-
-/// Run `step` until it reports no change, returning the number of
-/// rounds. Every lattice in this crate is finite, so a monotone `step`
-/// terminates; the bound is a defense against a non-monotone bug, not a
-/// tuning knob.
-pub fn fixpoint(mut step: impl FnMut() -> bool) -> usize {
-    let mut rounds = 0;
-    while step() {
-        rounds += 1;
-        assert!(rounds < 100_000, "flow fixpoint failed to converge: non-monotone transfer?");
-    }
-    rounds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn tri_kleene_tables() {
-        assert_eq!(Tri::True.and(Tri::Unknown), Tri::Unknown);
-        assert_eq!(Tri::False.and(Tri::Unknown), Tri::False);
-        assert_eq!(Tri::True.or(Tri::Unknown), Tri::True);
-        assert_eq!(Tri::False.or(Tri::Unknown), Tri::Unknown);
-        assert_eq!(!Tri::Unknown, Tri::Unknown);
-        assert_eq!(!Tri::True, Tri::False);
+    fn consts() -> Vec<String> {
+        ["a", "b", "c"].iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A one-entry-per-set table holding the given constant ids.
+    fn set(t: &mut SetTable, ids: &[u32]) -> usize {
+        let i = t.push(false);
+        for &c in ids {
+            t.join(i, Vals::One(c));
+        }
+        i
     }
 
     #[test]
     fn values_join_meet() {
-        let mut v = Values::bottom();
-        assert!(v.is_empty());
-        let ab = Values::Set(["a".to_string(), "b".to_string()].into());
-        assert!(v.join(&ab));
-        assert!(!v.join(&ab), "join is idempotent");
-        assert!(v.admits("a") && !v.admits("c"));
-        let bc = Values::Set(["b".to_string(), "c".to_string()].into());
-        let met = v.meet(&bc);
-        assert_eq!(met, Values::Set(["b".to_string()].into()));
-        assert!(v.join(&Values::Top));
-        assert_eq!(v, Values::Top);
-        assert_eq!(v.meet(&bc), bc);
+        let cs = consts();
+        let mut t = SetTable::new(cs.len());
+        let v = t.push(false);
+        assert!(t.is_bottom(v));
+        let ab = set(&mut t, &[0, 1]);
+        let ab_bits = t.row(ab).to_vec();
+        assert!(t.join(v, Vals::Set(&ab_bits)));
+        assert!(!t.join(v, Vals::Set(&ab_bits)), "join is idempotent");
+        assert!(t.get(v).admits(0) && !t.get(v).admits(2));
+        let bc = set(&mut t, &[1, 2]);
+        let met = set(&mut t, &[0, 1]);
+        assert!(t.meet_entry(met, bc));
+        assert_eq!(t.get(met).describe(&cs), "{\"b\"}");
+        assert!(t.join(v, Vals::Top));
+        assert!(matches!(t.get(v), Vals::Top));
+        assert!(!t.join(v, Vals::One(2)), "⊤ absorbs joins");
+        assert!(t.meet_entry(v, bc), "⊤ meet a set is that set");
+        assert_eq!(t.get(v).describe(&cs), "{\"b\", \"c\"}");
     }
 
     #[test]
-    fn worklist_dedups() {
-        let mut w = Worklist::new();
-        assert!(w.push(1));
-        assert!(!w.push(1));
-        assert!(w.push(2));
-        assert_eq!(w.pop(), Some(1));
-        assert!(!w.push(1), "pushing a popped item stays a no-op");
-        assert_eq!(w.seen().len(), 2);
+    fn singleton_meets_report_change_and_dry_up() {
+        let cs = consts();
+        let mut t = SetTable::new(cs.len());
+        let x = t.push(true);
+        assert!(t.meet(x, Vals::One(1)), "⊤ narrows to the constant");
+        assert!(!t.meet(x, Vals::One(1)), "re-pinning to the same constant is no change");
+        assert!(t.get(x).is_only(1));
+        assert!(t.meet(x, Vals::One(0)));
+        assert!(t.is_bottom(x), "two different constants leave nothing");
+        let y = set(&mut t, &[0, 2]);
+        assert!(t.meet(y, Vals::One(2)));
+        assert_eq!(t.get(y).describe(&cs), "{\"c\"}");
+        assert!(!t.meet(y, Vals::Top), "meeting ⊤ never narrows");
+    }
+
+    #[test]
+    fn rendering_and_set_relations() {
+        let cs = consts();
+        let mut t = SetTable::new(cs.len());
+        let all = set(&mut t, &[2, 0, 1]);
+        assert_eq!(t.get(all).describe(&cs), "{\"a\", \"b\", \"c\"}");
+        assert_eq!(Vals::Top.describe(&cs), "any value");
+        let empty = t.push(false);
+        assert_eq!(t.get(empty).describe(&cs), "{}");
+        let a = set(&mut t, &[0]);
+        let bc = set(&mut t, &[1, 2]);
+        assert!(t.get(a).disjoint(t.get(bc)));
+        assert!(!t.get(all).disjoint(t.get(bc)));
+        assert!(!Vals::Top.disjoint(t.get(a)));
+        assert!(Vals::One(1).disjoint(t.get(a)));
+    }
+
+    #[test]
+    fn sets_wider_than_one_word() {
+        let cs: Vec<String> = (0..130).map(|i| format!("k{i:03}")).collect();
+        let mut t = SetTable::new(cs.len());
+        let x = set(&mut t, &[3, 64, 129]);
+        let y = set(&mut t, &[64, 129]);
+        assert!(t.meet_entry(x, y));
+        assert!(!t.get(x).admits(3) && t.get(x).admits(129));
+        assert_eq!(t.get(x).describe(&cs), "{\"k064\", \"k129\"}");
+        let mut copy = SetTable::default();
+        copy.copy_from(&t);
+        assert!(copy.meet(x, Vals::One(129)));
+        assert!(copy.get(x).is_only(129) && !t.get(x).is_only(129));
     }
 }

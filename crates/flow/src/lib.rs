@@ -4,12 +4,16 @@
 //! graphs: page reachability (the page graph restricted to
 //! statically-live target edges), relation emptiness (which state /
 //! action / input relations can ever hold a tuple), and column value
-//! sets (constant propagation over the §3.2 comparison sets). On top of
-//! the fixpoint a classification pass names:
+//! sets (constant propagation over the §3.2 comparison sets). The
+//! fixpoint is a dependency worklist over guards compiled to interned
+//! ids: a rule is evaluated when its page first becomes reachable and
+//! again only when a relation its guard reads grows. On top of the
+//! fixpoint a classification pass names:
 //!
 //! * **dead rules** — guards refuted by the abstract evaluator, each
 //!   with a provenance chain (surfaced as W0601 and pruned from the
-//!   verifier's search);
+//!   verifier's search). Notes are rendered only for these: every other
+//!   evaluation runs with provenance compiled out;
 //! * **always-empty relations** (W0602) and **unreachable pages**
 //!   (W0603), both consequences of the same facts;
 //! * **monotone state relations** — inserted but never deleted (N0604
@@ -21,12 +25,8 @@
 //! impossible in every run over every database. That is the soundness
 //! contract the verifier's slice relies on (DESIGN.md §14).
 
-pub mod absint;
-pub mod analyses;
-pub mod lattice;
+mod absint;
+mod analyses;
+mod lattice;
 
-pub use absint::{Env, Facts, Verdict3};
-pub use analyses::{
-    analyze, cone_of_influence, Cone, DeadRule, EmptyRel, FlowReport, RuleKind, RuleRef,
-};
-pub use lattice::{fixpoint, Tri, Values, Worklist};
+pub use analyses::{analyze, DeadRule, EmptyRel, FlowReport, RuleKind, RuleRef};
