@@ -36,19 +36,19 @@ use wave_fol::{Atom, Formula, Term};
 /// Whether an evaluation renders provenance notes. The evaluator is
 /// generic over this trait and guards every note with `if P::ENABLED`,
 /// so silent evaluations compile the note code out entirely.
-pub(crate) trait Provenance {
+trait Provenance {
     const ENABLED: bool;
 }
 
 /// No notes: the fixpoint and the classification pass.
-pub(crate) struct Silent;
+struct Silent;
 
 impl Provenance for Silent {
     const ENABLED: bool = false;
 }
 
 /// Full notes: the one re-evaluation of a guard found refuted.
-pub(crate) struct Explain;
+struct Explain;
 
 impl Provenance for Explain {
     const ENABLED: bool = true;
@@ -163,11 +163,11 @@ impl Facts {
         ColumnValues { vals, consts: &self.consts }
     }
 
-    pub(crate) fn holds(&self, rel: RelId) -> bool {
+    fn holds(&self, rel: RelId) -> bool {
         self.rels[rel as usize].nonempty
     }
 
-    pub(crate) fn col(&self, rel: RelId, col: usize) -> Vals<'_> {
+    fn col(&self, rel: RelId, col: usize) -> Vals<'_> {
         let r = &self.rels[rel as usize];
         if col < r.arity {
             self.columns.get(r.first + col)
@@ -302,47 +302,30 @@ pub(crate) struct Program<'s> {
     guards: Vec<Guard<'s>>,
 }
 
-/// Every term of `f`, in order.
-fn visit_terms<'s>(f: &'s Formula, each: &mut impl FnMut(&'s Term)) {
+/// Every sub-formula of `f`, `f` first.
+fn walk<'s>(f: &'s Formula, each: &mut impl FnMut(&'s Formula)) {
+    each(f);
     match f {
+        Formula::Not(x) | Formula::Exists(_, x) | Formula::Forall(_, x) => walk(x, each),
+        Formula::And(xs) | Formula::Or(xs) => xs.iter().for_each(|x| walk(x, each)),
+        Formula::Implies(a, b) => {
+            walk(a, each);
+            walk(b, each);
+        }
+        _ => {}
+    }
+}
+
+/// Every term written in `f`.
+fn visit_terms<'s>(f: &'s Formula, each: &mut impl FnMut(&'s Term)) {
+    walk(f, &mut |g| match g {
         Formula::Atom(a) => a.terms.iter().for_each(&mut *each),
         Formula::Eq(a, b) | Formula::Ne(a, b) => {
             each(a);
             each(b);
         }
-        Formula::Not(x) | Formula::Exists(_, x) | Formula::Forall(_, x) => visit_terms(x, each),
-        Formula::And(xs) | Formula::Or(xs) => xs.iter().for_each(|x| visit_terms(x, each)),
-        Formula::Implies(a, b) => {
-            visit_terms(a, each);
-            visit_terms(b, each);
-        }
-        Formula::True | Formula::False | Formula::Page(_) | Formula::InputEmpty { .. } => {}
-    }
-}
-
-/// Every variable name `f` mentions, bound or free.
-fn visit_names<'s>(f: &'s Formula, out: &mut Vec<&'s str>) {
-    visit_terms(f, &mut |t| {
-        if let Term::Var(v) = t {
-            out.push(v);
-        }
+        _ => {}
     });
-    fn bound<'s>(f: &'s Formula, out: &mut Vec<&'s str>) {
-        match f {
-            Formula::Exists(vs, x) | Formula::Forall(vs, x) => {
-                out.extend(vs.iter().map(String::as_str));
-                bound(x, out);
-            }
-            Formula::Not(x) => bound(x, out),
-            Formula::And(xs) | Formula::Or(xs) => xs.iter().for_each(|x| bound(x, out)),
-            Formula::Implies(a, b) => {
-                bound(a, out);
-                bound(b, out);
-            }
-            _ => {}
-        }
-    }
-    bound(f, out);
 }
 
 /// The constants written in `bodies`, sorted and distinct: the id of a
@@ -397,8 +380,14 @@ impl<'s> Program<'s> {
         page: &'s str,
         head: &'s [String],
     ) -> GuardId {
+        // every variable name, bound or free
         let mut names: Vec<&'s str> = head.iter().map(String::as_str).collect();
-        visit_names(body, &mut names);
+        visit_terms(body, &mut |t| names.extend(t.as_var()));
+        walk(body, &mut |f| {
+            if let Formula::Exists(vs, _) | Formula::Forall(vs, _) = f {
+                names.extend(vs.iter().map(String::as_str));
+            }
+        });
         names.sort_unstable();
         names.dedup();
 
@@ -501,8 +490,8 @@ const UNBOUND: u32 = u32::MAX;
 /// The equality environment of one conjunctive scope: a class per
 /// mentioned variable, each class with a pin set and (with provenance)
 /// a short trail of why it was narrowed.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Env {
+#[derive(Debug, Default)]
+struct Env {
     /// Class of each local variable, or `UNBOUND`.
     class: Vec<u32>,
     pins: SetTable,
@@ -549,7 +538,7 @@ impl Env {
 
     /// The pin set of local variable `v` (⊤ when unconstrained or never
     /// mentioned).
-    pub(crate) fn pin(&self, v: u32) -> Vals<'_> {
+    fn pin(&self, v: u32) -> Vals<'_> {
         match self.class[v as usize] {
             UNBOUND => Vals::Top,
             c => self.pins.get(c as usize),
@@ -627,8 +616,8 @@ impl Env {
 
 /// Abstract evaluation result: `False` carries the provenance chain
 /// (empty for a [`Silent`] evaluation).
-#[derive(Clone, Debug)]
-pub(crate) enum Verdict {
+#[derive(Debug)]
+enum Verdict {
     True,
     False(Vec<String>),
     Unknown,
@@ -651,7 +640,7 @@ impl<'p, 's> Evaluator<'p, 's> {
 
     /// Evaluate guard `g` against `facts`. After a verdict other than
     /// `False`, [`Evaluator::head`] reads the pins it left on the head.
-    pub(crate) fn eval<P: Provenance>(&mut self, g: GuardId, facts: &Facts) -> Verdict {
+    fn eval<P: Provenance>(&mut self, g: GuardId, facts: &Facts) -> Verdict {
         let guard = &self.prog.guards[g];
         self.env.reset(guard.names.len(), facts.consts.len());
         let mut cx =
