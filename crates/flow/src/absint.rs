@@ -65,7 +65,7 @@ fn note<P: Provenance>(text: impl FnOnce() -> String) -> Vec<String> {
 }
 
 /// Dense id of a tracked relation.
-pub(crate) type RelId = u32;
+pub(crate) type RelId = usize;
 
 /// A tracked relation: its emptiness and column values grow with the
 /// fixpoint.
@@ -159,16 +159,16 @@ impl Facts {
     /// Over-approximation of the constants column `col` of `rel` can
     /// carry. Untracked relations are ⊤.
     pub fn column(&self, rel: &str, col: usize) -> ColumnValues<'_> {
-        let vals = self.id(rel).map_or(Vals::Top, |r| self.col(r as RelId, col));
+        let vals = self.id(rel).map_or(Vals::Top, |r| self.col(r, col));
         ColumnValues { vals, consts: &self.consts }
     }
 
     fn holds(&self, rel: RelId) -> bool {
-        self.rels[rel as usize].nonempty
+        self.rels[rel].nonempty
     }
 
     fn col(&self, rel: RelId, col: usize) -> Vals<'_> {
-        let r = &self.rels[rel as usize];
+        let r = &self.rels[rel];
         if col < r.arity {
             self.columns.get(r.first + col)
         } else {
@@ -179,7 +179,7 @@ impl Facts {
     /// Record that `rel` may be populated, with per-column value
     /// contributions; `true` if anything grew.
     pub(crate) fn feed<'v>(&mut self, rel: RelId, cols: impl Iterator<Item = Vals<'v>>) -> bool {
-        let r = &mut self.rels[rel as usize];
+        let r = &mut self.rels[rel];
         let mut changed = !std::mem::replace(&mut r.nonempty, true);
         let (first, arity) = (r.first, r.arity);
         for (col, v) in cols.take(arity).enumerate() {
@@ -194,7 +194,7 @@ impl Facts {
     }
 
     fn why_column(&self, rel: RelId, col: usize, values: Vals<'_>) -> String {
-        let r = &self.rels[rel as usize];
+        let r = &self.rels[rel];
         format!(
             "column {col} of `{}` can only carry {} (from {})",
             r.name,
@@ -207,17 +207,17 @@ impl Facts {
 /// A run of ids in one of a [`Program`]'s arenas.
 #[derive(Clone, Copy, Debug)]
 struct Ids {
-    start: u32,
-    end: u32,
+    start: usize,
+    end: usize,
 }
 
 impl Ids {
     fn range(self) -> std::ops::Range<usize> {
-        self.start as usize..self.end as usize
+        self.start..self.end
     }
 
     fn len(self) -> usize {
-        (self.end - self.start) as usize
+        self.end - self.start
     }
 }
 
@@ -225,8 +225,8 @@ impl Ids {
 /// field term of the input rewrite (opaque to the analysis).
 #[derive(Clone, Copy, Debug)]
 enum T {
-    Const(u32),
-    Var(u32),
+    Const(usize),
+    Var(usize),
     Opaque,
 }
 
@@ -291,13 +291,13 @@ pub(crate) type GuardId = usize;
 /// interners into flat arenas.
 #[derive(Debug)]
 pub(crate) struct Program<'s> {
-    consts: HashMap<&'s str, u32>,
+    consts: HashMap<&'s str, usize>,
     rels: HashMap<&'s str, RelId>,
     nodes: Vec<Node<'s>>,
-    kids: Vec<u32>,
+    kids: Vec<usize>,
     branches: Vec<Ids>,
     terms: Vec<T>,
-    vars: Vec<u32>,
+    vars: Vec<usize>,
     names: Vec<&'s str>,
     guards: Vec<Guard<'s>>,
 }
@@ -360,7 +360,7 @@ impl<'s> Program<'s> {
     /// [`intern_constants`], `rels` naming every tracked relation.
     pub(crate) fn new(consts: &[&'s str], rels: HashMap<&'s str, RelId>) -> Program<'s> {
         Program {
-            consts: consts.iter().enumerate().map(|(i, &c)| (c, i as u32)).collect(),
+            consts: consts.iter().enumerate().map(|(i, &c)| (c, i)).collect(),
             rels,
             nodes: Vec::new(),
             kids: Vec::new(),
@@ -391,19 +391,19 @@ impl<'s> Program<'s> {
         names.sort_unstable();
         names.dedup();
 
-        let first_node = self.nodes.len() as u32;
+        let first_node = self.nodes.len();
         let root = self.scope(body, page, &names);
-        let head_start = self.vars.len() as u32;
+        let head_start = self.vars.len();
         self.vars.extend(head.iter().map(|v| local(&names, v)));
-        let head = Ids { start: head_start, end: self.vars.len() as u32 };
-        let names_start = self.names.len() as u32;
+        let head = Ids { start: head_start, end: self.vars.len() };
+        let names_start = self.names.len();
         self.names.extend(&names);
         self.guards.push(Guard {
             root,
             page,
-            names: Ids { start: names_start, end: self.names.len() as u32 },
+            names: Ids { start: names_start, end: self.names.len() },
             head,
-            nodes: Ids { start: first_node, end: self.nodes.len() as u32 },
+            nodes: Ids { start: first_node, end: self.nodes.len() },
         });
         self.guards.len() - 1
     }
@@ -420,10 +420,11 @@ impl<'s> Program<'s> {
     fn scope(&mut self, f: &'s Formula, page: &'s str, names: &[&'s str]) -> Ids {
         let mut conjuncts = Vec::new();
         flatten(f, &mut conjuncts);
-        let ids: Vec<u32> = conjuncts.into_iter().map(|c| self.conjunct(c, page, names)).collect();
-        let start = self.kids.len() as u32;
+        let ids: Vec<usize> =
+            conjuncts.into_iter().map(|c| self.conjunct(c, page, names)).collect();
+        let start = self.kids.len();
         self.kids.extend(ids);
-        Ids { start, end: self.kids.len() as u32 }
+        Ids { start, end: self.kids.len() }
     }
 
     fn term(&self, t: &'s Term, names: &[&'s str]) -> T {
@@ -434,7 +435,7 @@ impl<'s> Program<'s> {
         }
     }
 
-    fn conjunct(&mut self, f: &'s Formula, page: &'s str, names: &[&'s str]) -> u32 {
+    fn conjunct(&mut self, f: &'s Formula, page: &'s str, names: &[&'s str]) -> usize {
         let node = match f {
             Formula::True => Node::True,
             Formula::False => Node::False,
@@ -445,20 +446,20 @@ impl<'s> Program<'s> {
             Formula::Eq(a, b) => Node::Eq(self.term(a, names), self.term(b, names)),
             Formula::Ne(a, b) => Node::Ne(self.term(a, names), self.term(b, names)),
             Formula::Atom(a) => {
-                let start = self.terms.len() as u32;
+                let start = self.terms.len();
                 for t in &a.terms {
                     let t = self.term(t, names);
                     self.terms.push(t);
                 }
-                let terms = Ids { start, end: self.terms.len() as u32 };
+                let terms = Ids { start, end: self.terms.len() };
                 Node::Atom { src: a, rel: self.rels.get(a.rel.as_str()).copied(), terms }
             }
             Formula::Not(x) => Node::Not { inner: self.scope(x, page, names), src: x },
             Formula::Or(parts) => {
                 let scopes: Vec<Ids> = parts.iter().map(|p| self.scope(p, page, names)).collect();
-                let start = self.branches.len() as u32;
+                let start = self.branches.len();
                 self.branches.extend(scopes);
-                Node::Or(Ids { start, end: self.branches.len() as u32 })
+                Node::Or(Ids { start, end: self.branches.len() })
             }
             Formula::Implies(a, b) => Node::Implies {
                 lhs: self.scope(a, page, names),
@@ -467,25 +468,25 @@ impl<'s> Program<'s> {
             },
             Formula::Exists(vs, body) | Formula::Forall(vs, body) => {
                 let body = self.scope(body, page, names);
-                let start = self.vars.len() as u32;
+                let start = self.vars.len();
                 self.vars.extend(vs.iter().map(|v| local(names, v)));
-                Node::Quant { vars: Ids { start, end: self.vars.len() as u32 }, body }
+                Node::Quant { vars: Ids { start, end: self.vars.len() }, body }
             }
             // `flatten` splices every conjunction into its scope
             Formula::And(_) => unreachable!("conjunctions are flattened"),
         };
         self.nodes.push(node);
-        (self.nodes.len() - 1) as u32
+        self.nodes.len() - 1
     }
 }
 
 /// The local id of variable `v` among a guard's sorted `names`.
-fn local(names: &[&str], v: &str) -> u32 {
-    names.binary_search(&v).expect("every guard variable is collected") as u32
+fn local(names: &[&str], v: &str) -> usize {
+    names.binary_search(&v).expect("every guard variable is collected")
 }
 
 /// Class slot of a variable not yet mentioned in a scope.
-const UNBOUND: u32 = u32::MAX;
+const UNBOUND: usize = usize::MAX;
 
 /// The equality environment of one conjunctive scope: a class per
 /// mentioned variable, each class with a pin set and (with provenance)
@@ -493,7 +494,7 @@ const UNBOUND: u32 = u32::MAX;
 #[derive(Debug, Default)]
 struct Env {
     /// Class of each local variable, or `UNBOUND`.
-    class: Vec<u32>,
+    class: Vec<usize>,
     pins: SetTable,
     /// Per class, at most four reasons (only with provenance).
     why: Vec<Vec<String>>,
@@ -513,18 +514,18 @@ impl Env {
         self.why.clone_from(&other.why);
     }
 
-    fn fresh<P: Provenance>(&mut self) -> u32 {
+    fn fresh<P: Provenance>(&mut self) -> usize {
         if P::ENABLED {
             self.why.push(Vec::new());
         }
-        self.pins.push(true) as u32
+        self.pins.push(true)
     }
 
-    fn class_of<P: Provenance>(&mut self, v: u32) -> u32 {
-        match self.class[v as usize] {
+    fn class_of<P: Provenance>(&mut self, v: usize) -> usize {
+        match self.class[v] {
             UNBOUND => {
                 let c = self.fresh::<P>();
-                self.class[v as usize] = c;
+                self.class[v] = c;
                 c
             }
             c => c,
@@ -532,33 +533,32 @@ impl Env {
     }
 
     /// Rebind `v` to a fresh unconstrained class (quantifier shadowing).
-    fn shadow<P: Provenance>(&mut self, v: u32) {
-        self.class[v as usize] = self.fresh::<P>();
+    fn shadow<P: Provenance>(&mut self, v: usize) {
+        self.class[v] = self.fresh::<P>();
     }
 
     /// The pin set of local variable `v` (⊤ when unconstrained or never
     /// mentioned).
-    fn pin(&self, v: u32) -> Vals<'_> {
-        match self.class[v as usize] {
+    fn pin(&self, v: usize) -> Vals<'_> {
+        match self.class[v] {
             UNBOUND => Vals::Top,
-            c => self.pins.get(c as usize),
+            c => self.pins.get(c),
         }
     }
 
-    fn same_class(&self, a: u32, b: u32) -> bool {
-        let ca = self.class[a as usize];
-        ca != UNBOUND && ca == self.class[b as usize]
+    fn same_class(&self, a: usize, b: usize) -> bool {
+        let ca = self.class[a];
+        ca != UNBOUND && ca == self.class[b]
     }
 
     /// Narrow class `c` with `meet`; `Err` with the refutation chain if
     /// its pin set dries up, else whether it moved.
     fn narrow_class<P: Provenance>(
         &mut self,
-        c: u32,
+        c: usize,
         meet: impl FnOnce(&mut SetTable, usize) -> bool,
         why: impl FnOnce() -> String,
     ) -> Result<bool, Vec<String>> {
-        let c = c as usize;
         let was_bottom = self.pins.is_bottom(c);
         let changed = meet(&mut self.pins, c);
         if !was_bottom && self.pins.is_bottom(c) {
@@ -577,7 +577,7 @@ impl Env {
 
     fn narrow<P: Provenance>(
         &mut self,
-        v: u32,
+        v: usize,
         vals: Vals<'_>,
         why: impl FnOnce() -> String,
     ) -> Result<bool, Vec<String>> {
@@ -587,8 +587,8 @@ impl Env {
 
     fn union<P: Provenance>(
         &mut self,
-        a: u32,
-        b: u32,
+        a: usize,
+        b: usize,
         why: impl FnOnce() -> String,
     ) -> Result<(), Vec<String>> {
         let (ca, cb) = (self.class_of::<P>(a), self.class_of::<P>(b));
@@ -602,15 +602,15 @@ impl Env {
             }
         }
         if P::ENABLED {
-            let other = self.why[cb as usize].clone();
-            let slot = &mut self.why[ca as usize];
+            let other = self.why[cb].clone();
+            let slot = &mut self.why[ca];
             for w in other {
                 if slot.len() < 4 {
                     slot.push(w);
                 }
             }
         }
-        self.narrow_class::<P>(ca, |pins, c| pins.meet_entry(c, cb as usize), why).map(drop)
+        self.narrow_class::<P>(ca, |pins, c| pins.meet_entry(c, cb), why).map(drop)
     }
 }
 
@@ -677,12 +677,12 @@ struct Cx<'a, 's> {
 }
 
 impl<'a, 's> Cx<'a, 's> {
-    fn name(&self, v: u32) -> &'s str {
-        self.prog.names[self.guard.names.start as usize + v as usize]
+    fn name(&self, v: usize) -> &'s str {
+        self.prog.names[self.guard.names.start + v]
     }
 
-    fn konst(&self, c: u32) -> &'a str {
-        &self.facts.consts[c as usize]
+    fn konst(&self, c: usize) -> &'a str {
+        &self.facts.consts[c]
     }
 
     /// Evaluate a conjunctive scope, refining `env` with the pins the
@@ -693,7 +693,7 @@ impl<'a, 's> Cx<'a, 's> {
 
         // pass 1: explicit equalities establish the classes and seed pins
         for &k in kids {
-            if let Node::Eq(a, b) = prog.nodes[k as usize] {
+            if let Node::Eq(a, b) = prog.nodes[k] {
                 if let Err(notes) = self.register_eq::<P>(a, b, env) {
                     return Verdict::False(notes);
                 }
@@ -706,7 +706,7 @@ impl<'a, 's> Cx<'a, 's> {
         loop {
             let mut moved = false;
             for &k in kids {
-                if let Node::Atom { src, rel, terms } = prog.nodes[k as usize] {
+                if let Node::Atom { src, rel, terms } = prog.nodes[k] {
                     match self.atom::<P>(src, rel, terms, env) {
                         Ok(m) => moved |= m,
                         Err(notes) => return Verdict::False(notes),
@@ -722,7 +722,7 @@ impl<'a, 's> Cx<'a, 's> {
         // with equalities or atoms is satisfiable-but-not-valid
         let mut all_true = true;
         for &k in kids {
-            match &prog.nodes[k as usize] {
+            match &prog.nodes[k] {
                 Node::Eq(..) | Node::Atom { .. } => all_true = false,
                 node => match self.one::<P>(node, env) {
                     Verdict::False(notes) => return Verdict::False(notes),
@@ -739,7 +739,7 @@ impl<'a, 's> Cx<'a, 's> {
     }
 
     /// Evaluate `body` in a copy of `env` with `shadowed` rebound.
-    fn nested<P: Provenance>(&mut self, body: Ids, env: &Env, shadowed: &[u32]) -> Verdict {
+    fn nested<P: Provenance>(&mut self, body: Ids, env: &Env, shadowed: &[usize]) -> Verdict {
         let mut child = self.envs.pop().unwrap_or_default();
         child.copy_from(env);
         for &v in shadowed {
@@ -794,7 +794,7 @@ impl<'a, 's> Cx<'a, 's> {
             return Err(if P::ENABLED {
                 vec![
                     format!("`{src}` requires a tuple of `{}`", src.rel),
-                    facts.rels[rel as usize].why_empty(),
+                    facts.rels[rel].why_empty(),
                 ]
             } else {
                 Vec::new()
@@ -921,7 +921,7 @@ impl<'a, 's> Cx<'a, 's> {
                     live = true;
                     any_true |= matches!(v, Verdict::True);
                     for var in 0..child.class.len() {
-                        join.join(var, child.pin(var as u32));
+                        join.join(var, child.pin(var));
                     }
                 }
             }
@@ -944,12 +944,9 @@ impl<'a, 's> Cx<'a, 's> {
                     continue;
                 }
                 let why = || {
-                    format!(
-                        "`{}` is pinned by every alternative of a disjunction",
-                        self.name(var as u32)
-                    )
+                    format!("`{}` is pinned by every alternative of a disjunction", self.name(var))
                 };
-                if let Err(notes) = env.narrow::<P>(var as u32, joined, why) {
+                if let Err(notes) = env.narrow::<P>(var, joined, why) {
                     verdict = Verdict::False(notes);
                     break;
                 }
@@ -1027,7 +1024,7 @@ mod tests {
             ],
         );
         for c in ["next", "stop"] {
-            let id = consts.iter().position(|k| *k == c).unwrap() as u32;
+            let id = consts.iter().position(|k| *k == c).unwrap();
             facts.feed(0, std::iter::once(Vals::One(id)));
         }
         f(&mut Evaluator::new(&prog), &facts, &ids)

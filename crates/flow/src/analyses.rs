@@ -153,11 +153,11 @@ fn tracked_relations(spec: &Spec) -> (Vec<TrackedRel>, HashMap<&str, RelId>) {
     let mut ids = HashMap::new();
     for (rel, arity) in decls.chain(inputs) {
         if let Some(&id) = ids.get(rel.as_str()) {
-            let seen: &mut TrackedRel = &mut out[id as usize];
+            let seen: &mut TrackedRel = &mut out[id];
             seen.arity = seen.arity.max(arity);
             continue;
         }
-        ids.insert(rel.as_str(), out.len() as RelId);
+        ids.insert(rel.as_str(), out.len());
         let (writers, source) = match class.get(rel.as_str()) {
             Some(RelClass::State) => (count(&inserts, rel), "the insert rules that populate it"),
             Some(RelClass::Action) => (count(&emits, rel), "the action rules that emit it"),
@@ -270,7 +270,7 @@ impl Graph {
             }
             for rel in prog.reads(rule.guard) {
                 // a rule's reads are pushed together, so a repeat is last
-                let list: &mut Vec<usize> = &mut readers[rel as usize];
+                let list: &mut Vec<usize> = &mut readers[rel];
                 if list.last() != Some(&ri) {
                     list.push(ri);
                 }
@@ -305,7 +305,7 @@ impl Graph {
                 _ if ev.refutes(rule.guard, facts) => continue,
                 Effect::Feed(rel) => {
                     if facts.feed(rel, ev.head(rule.guard)) {
-                        for &reader in &self.readers[rel as usize] {
+                        for &reader in &self.readers[rel] {
                             if reachable[self.rules[reader].at.page] {
                                 work.push(reader);
                             }

@@ -22,16 +22,16 @@
 pub(crate) enum Vals<'a> {
     Top,
     Set(&'a [u64]),
-    One(u32),
+    One(usize),
 }
 
-fn has_bit(bits: &[u64], c: u32) -> bool {
-    bits[c as usize / 64] & (1 << (c % 64)) != 0
+fn has_bit(bits: &[u64], c: usize) -> bool {
+    bits[c / 64] & (1 << (c % 64)) != 0
 }
 
 impl Vals<'_> {
     /// Could this column carry constant `c`?
-    pub(crate) fn admits(self, c: u32) -> bool {
+    pub(crate) fn admits(self, c: usize) -> bool {
         match self {
             Vals::Top => true,
             Vals::Set(bits) => has_bit(bits, c),
@@ -40,7 +40,7 @@ impl Vals<'_> {
     }
 
     /// Exactly the one constant `c`?
-    pub(crate) fn is_only(self, c: u32) -> bool {
+    pub(crate) fn is_only(self, c: usize) -> bool {
         match self {
             Vals::Top => false,
             Vals::Set(bits) => {
@@ -64,10 +64,10 @@ impl Vals<'_> {
     pub(crate) fn describe(self, consts: &[String]) -> String {
         let items: Vec<String> = match self {
             Vals::Top => return "any value".to_string(),
-            Vals::One(c) => vec![format!("{:?}", consts[c as usize])],
-            Vals::Set(bits) => (0..consts.len() as u32)
+            Vals::One(c) => vec![format!("{:?}", consts[c])],
+            Vals::Set(bits) => (0..consts.len())
                 .filter(|&c| has_bit(bits, c))
-                .map(|c| format!("{:?}", consts[c as usize]))
+                .map(|c| format!("{:?}", consts[c]))
                 .collect(),
         };
         format!("{{{}}}", items.join(", "))
@@ -156,7 +156,7 @@ impl SetTable {
                 grew
             }
             Vals::One(c) => {
-                let (w, b) = (c as usize / 64, 1u64 << (c % 64));
+                let (w, b) = (c / 64, 1u64 << (c % 64));
                 let slot = &mut self.row_mut(i)[w];
                 let grew = *slot & b == 0;
                 *slot |= b;
@@ -184,7 +184,7 @@ impl SetTable {
             }
             Vals::One(c) => {
                 let was_top = std::mem::take(&mut self.top[i]);
-                let (w, b) = (c as usize / 64, 1u64 << (c % 64));
+                let (w, b) = (c / 64, 1u64 << (c % 64));
                 let row = self.row_mut(i);
                 let kept = was_top || row[w] & b != 0;
                 let before: u32 = row.iter().map(|x| x.count_ones()).sum();
@@ -230,7 +230,7 @@ mod tests {
     }
 
     /// A one-entry-per-set table holding the given constant ids.
-    fn set(t: &mut SetTable, ids: &[u32]) -> usize {
+    fn set(t: &mut SetTable, ids: &[usize]) -> usize {
         let i = t.push(false);
         for &c in ids {
             t.join(i, Vals::One(c));
