@@ -54,11 +54,11 @@ impl Provenance for Explain {
     const ENABLED: bool = true;
 }
 
-/// A single note when provenance is on, nothing (and no allocation)
-/// when it is off.
-fn note<P: Provenance>(text: impl FnOnce() -> String) -> Vec<String> {
+/// The notes `render` builds when provenance is on; nothing (and no
+/// allocation) when it is off.
+fn notes<P: Provenance>(render: impl FnOnce() -> Vec<String>) -> Vec<String> {
     if P::ENABLED {
-        vec![text()]
+        render()
     } else {
         Vec::new()
     }
@@ -147,19 +147,11 @@ impl Facts {
         Facts { consts, rels, columns }
     }
 
-    fn id(&self, rel: &str) -> Option<usize> {
-        self.rels.iter().position(|r| r.name == rel)
-    }
-
-    /// May `rel` hold a tuple at some step of some run?
-    pub fn nonempty(&self, rel: &str) -> bool {
-        self.id(rel).is_none_or(|r| self.rels[r].nonempty)
-    }
-
     /// Over-approximation of the constants column `col` of `rel` can
     /// carry. Untracked relations are ⊤.
     pub fn column(&self, rel: &str, col: usize) -> ColumnValues<'_> {
-        let vals = self.id(rel).map_or(Vals::Top, |r| self.col(r, col));
+        let id = self.rels.iter().position(|r| r.name == rel);
+        let vals = id.map_or(Vals::Top, |r| self.col(r, col));
         ColumnValues { vals, consts: &self.consts }
     }
 
@@ -291,7 +283,8 @@ pub(crate) type GuardId = usize;
 /// interners into flat arenas.
 #[derive(Debug)]
 pub(crate) struct Program<'s> {
-    consts: HashMap<&'s str, usize>,
+    /// Interned constants, sorted: a constant's id is its position.
+    consts: &'s [String],
     rels: HashMap<&'s str, RelId>,
     nodes: Vec<Node<'s>>,
     kids: Vec<usize>,
@@ -316,34 +309,6 @@ fn walk<'s>(f: &'s Formula, each: &mut impl FnMut(&'s Formula)) {
     }
 }
 
-/// Every term written in `f`.
-fn visit_terms<'s>(f: &'s Formula, each: &mut impl FnMut(&'s Term)) {
-    walk(f, &mut |g| match g {
-        Formula::Atom(a) => a.terms.iter().for_each(&mut *each),
-        Formula::Eq(a, b) | Formula::Ne(a, b) => {
-            each(a);
-            each(b);
-        }
-        _ => {}
-    });
-}
-
-/// The constants written in `bodies`, sorted and distinct: the id of a
-/// constant is its position, so id order is text order.
-pub(crate) fn intern_constants<'s>(bodies: impl IntoIterator<Item = &'s Formula>) -> Vec<&'s str> {
-    let mut out = Vec::new();
-    for f in bodies {
-        visit_terms(f, &mut |t| {
-            if let Term::Const(c) = t {
-                out.push(c.as_str());
-            }
-        });
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 fn flatten<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
     match f {
         Formula::And(parts) => {
@@ -356,11 +321,11 @@ fn flatten<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
 }
 
 impl<'s> Program<'s> {
-    /// An empty program over the given interners: `consts` from
-    /// [`intern_constants`], `rels` naming every tracked relation.
-    pub(crate) fn new(consts: &[&'s str], rels: HashMap<&'s str, RelId>) -> Program<'s> {
+    /// An empty program over the given interners: `consts` sorted and
+    /// distinct, `rels` naming every tracked relation.
+    pub(crate) fn new(consts: &'s [String], rels: HashMap<&'s str, RelId>) -> Program<'s> {
         Program {
-            consts: consts.iter().enumerate().map(|(i, &c)| (c, i)).collect(),
+            consts,
             rels,
             nodes: Vec::new(),
             kids: Vec::new(),
@@ -382,11 +347,15 @@ impl<'s> Program<'s> {
     ) -> GuardId {
         // every variable name, bound or free
         let mut names: Vec<&'s str> = head.iter().map(String::as_str).collect();
-        visit_terms(body, &mut |t| names.extend(t.as_var()));
-        walk(body, &mut |f| {
-            if let Formula::Exists(vs, _) | Formula::Forall(vs, _) = f {
-                names.extend(vs.iter().map(String::as_str));
+        walk(body, &mut |f| match f {
+            Formula::Atom(a) => names.extend(a.terms.iter().filter_map(Term::as_var)),
+            Formula::Eq(a, b) | Formula::Ne(a, b) => {
+                names.extend(a.as_var().into_iter().chain(b.as_var()))
             }
+            Formula::Exists(vs, _) | Formula::Forall(vs, _) => {
+                names.extend(vs.iter().map(String::as_str))
+            }
+            _ => {}
         });
         names.sort_unstable();
         names.dedup();
@@ -430,7 +399,9 @@ impl<'s> Program<'s> {
     fn term(&self, t: &'s Term, names: &[&'s str]) -> T {
         match t {
             Term::Var(v) => T::Var(local(names, v)),
-            Term::Const(c) => T::Const(self.consts[c.as_str()]),
+            Term::Const(c) => {
+                T::Const(self.consts.binary_search(c).expect("every constant is interned"))
+            }
             Term::Field { .. } => T::Opaque,
         }
     }
@@ -756,12 +727,12 @@ impl<'a, 's> Cx<'a, 's> {
                 if x == y {
                     Ok(())
                 } else {
-                    Err(note::<P>(|| {
-                        format!(
+                    Err(notes::<P>(|| {
+                        vec![format!(
                             "the guard requires {:?} = {:?}, which never holds",
                             self.konst(x),
                             self.konst(y)
-                        )
+                        )]
                     }))
                 }
             }
@@ -791,14 +762,12 @@ impl<'a, 's> Cx<'a, 's> {
         let Some(rel) = rel else { return Ok(false) };
         let facts = self.facts;
         if !facts.holds(rel) {
-            return Err(if P::ENABLED {
+            return Err(notes::<P>(|| {
                 vec![
                     format!("`{src}` requires a tuple of `{}`", src.rel),
                     facts.rels[rel].why_empty(),
                 ]
-            } else {
-                Vec::new()
-            });
+            }));
         }
         let mut moved = false;
         for (col, &t) in self.prog.terms[terms.range()].iter().enumerate() {
@@ -806,7 +775,7 @@ impl<'a, 's> Cx<'a, 's> {
             match t {
                 T::Const(c) => {
                     if !values.admits(c) {
-                        return Err(if P::ENABLED {
+                        return Err(notes::<P>(|| {
                             vec![
                                 format!(
                                     "`{src}` requires {:?} in column {col} of `{}`",
@@ -815,9 +784,7 @@ impl<'a, 's> Cx<'a, 's> {
                                 ),
                                 facts.why_column(rel, col, values),
                             ]
-                        } else {
-                            Vec::new()
-                        });
+                        }));
                     }
                 }
                 T::Var(v) => {
@@ -848,17 +815,19 @@ impl<'a, 's> Cx<'a, 's> {
     fn one<P: Provenance>(&mut self, node: &Node<'s>, env: &mut Env) -> Verdict {
         match *node {
             Node::True => Verdict::True,
-            Node::False => Verdict::False(note::<P>(|| "the guard is literally false".to_string())),
+            Node::False => {
+                Verdict::False(notes::<P>(|| vec!["the guard is literally false".to_string()]))
+            }
             Node::Page { holds, name } => {
                 if holds {
                     Verdict::True
                 } else {
-                    Verdict::False(note::<P>(|| {
-                        format!(
+                    Verdict::False(notes::<P>(|| {
+                        vec![format!(
                             "the guard requires the current page to be {name}, but this rule \
                              runs on {}",
                             self.guard.page
-                        )
+                        )]
                     }))
                 }
             }
@@ -868,8 +837,8 @@ impl<'a, 's> Cx<'a, 's> {
             },
             Node::Ne(a, b) => self.ne::<P>(a, b, env),
             Node::Not { inner, src } => match self.nested::<P>(inner, env, &[]) {
-                Verdict::True => Verdict::False(note::<P>(|| {
-                    format!("the guard negates a condition that always holds: `{src}`")
+                Verdict::True => Verdict::False(notes::<P>(|| {
+                    vec![format!("the guard negates a condition that always holds: `{src}`")]
                 })),
                 Verdict::False(_) => Verdict::True,
                 Verdict::Unknown => Verdict::Unknown,
@@ -884,8 +853,8 @@ impl<'a, 's> Cx<'a, 's> {
                 }
                 match (l, self.nested::<P>(rhs, env, &[])) {
                     (_, Verdict::True) => Verdict::True,
-                    (Verdict::True, Verdict::False(_)) => Verdict::False(note::<P>(|| {
-                        format!("`{a}` always holds but `{b}` never can")
+                    (Verdict::True, Verdict::False(_)) => Verdict::False(notes::<P>(|| {
+                        vec![format!("`{a}` always holds but `{b}` never can")]
                     })),
                     _ => Verdict::Unknown,
                 }
@@ -963,17 +932,21 @@ impl<'a, 's> Cx<'a, 's> {
                 if x != y {
                     Verdict::True
                 } else {
-                    Verdict::False(note::<P>(|| {
-                        format!("the guard requires {:?} != {:?}", self.konst(x), self.konst(y))
+                    Verdict::False(notes::<P>(|| {
+                        vec![format!(
+                            "the guard requires {:?} != {:?}",
+                            self.konst(x),
+                            self.konst(y)
+                        )]
                     }))
                 }
             }
             (T::Var(v), T::Const(c)) | (T::Const(c), T::Var(v)) => {
                 let pin = env.pin(v);
                 if pin.is_only(c) {
-                    Verdict::False(note::<P>(|| {
+                    Verdict::False(notes::<P>(|| {
                         let (v, c) = (self.name(v), self.konst(c));
-                        format!("`{v}` is pinned to {c:?}, so `{v}` != {c:?} never holds")
+                        vec![format!("`{v}` is pinned to {c:?}, so `{v}` != {c:?} never holds")]
                     }))
                 } else if matches!(pin, Vals::Set(_)) && !pin.admits(c) {
                     Verdict::True
@@ -983,9 +956,11 @@ impl<'a, 's> Cx<'a, 's> {
             }
             (T::Var(v), T::Var(w)) => {
                 if v == w || env.same_class(v, w) {
-                    Verdict::False(note::<P>(|| {
+                    Verdict::False(notes::<P>(|| {
                         let (v, w) = (self.name(v), self.name(w));
-                        format!("`{v}` and `{w}` are equal here, so `{v}` != `{w}` never holds")
+                        vec![format!(
+                            "`{v}` and `{w}` are equal here, so `{v}` != `{w}` never holds"
+                        )]
                     }))
                 } else if env.pin(v).disjoint(env.pin(w)) {
                     Verdict::True
@@ -1013,11 +988,14 @@ mod tests {
     ) -> R {
         let heads = vec!["y".to_string()];
         let offered = [atom("go", konst("next")), atom("go", konst("stop"))];
-        let consts = intern_constants(guards.iter().chain(&offered));
+        let mut consts: Vec<String> =
+            guards.iter().chain(&offered).flat_map(wave_fol::constants).collect();
+        consts.sort_unstable();
+        consts.dedup();
         let mut prog = Program::new(&consts, HashMap::from([("go", 0), ("junk", 1)]));
         let ids: Vec<GuardId> = guards.iter().map(|g| prog.guard(g, PAGE, &heads)).collect();
         let mut facts = Facts::bottom(
-            consts.iter().map(|c| c.to_string()).collect(),
+            consts.clone(),
             vec![
                 TrackedRel::new("go".into(), 1, 1, "the option rules that offer it"),
                 TrackedRel::new("junk".into(), 1, 0, "the option rules that offer it"),

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Range;
 
-use crate::absint::{intern_constants, Evaluator, Facts, GuardId, Program, RelId, TrackedRel};
+use crate::absint::{Evaluator, Facts, GuardId, Program, RelId, TrackedRel};
 use wave_spec::Spec;
 
 /// Which rule vector of a page a [`RuleRef`] indexes into. `State`
@@ -200,13 +200,11 @@ impl Worklist {
         Worklist { queue: VecDeque::new(), waiting: vec![false; len] }
     }
 
-    /// Queue `item` unless it is already waiting; `true` if queued.
-    fn push(&mut self, item: usize) -> bool {
-        let fresh = !std::mem::replace(&mut self.waiting[item], true);
-        if fresh {
+    /// Queue `item` unless it is already waiting.
+    fn push(&mut self, item: usize) {
+        if !std::mem::replace(&mut self.waiting[item], true) {
             self.queue.push_back(item);
         }
-        fresh
     }
 
     fn pop(&mut self) -> Option<usize> {
@@ -353,16 +351,12 @@ impl Graph {
 /// and classify every rule, page, and relation of `spec`.
 pub fn analyze(spec: &Spec) -> FlowReport {
     let (tracked, rel_ids) = tracked_relations(spec);
-    let bodies = spec.pages.iter().flat_map(|p| {
-        let opts = p.option_rules.iter().map(|r| &r.body);
-        let states = p.state_rules.iter().map(|r| &r.body);
-        let acts = p.action_rules.iter().map(|r| &r.body);
-        opts.chain(states).chain(acts).chain(p.target_rules.iter().map(|t| &t.condition))
-    });
-    let consts = intern_constants(bodies);
+    // constants interned in text order, so bitset order is text order
+    let mut consts = spec.all_constants();
+    consts.sort_unstable();
     let mut prog = Program::new(&consts, rel_ids.clone());
     let graph = Graph::compile(spec, &mut prog, &rel_ids);
-    let mut facts = Facts::bottom(consts.iter().map(|c| c.to_string()).collect(), tracked);
+    let mut facts = Facts::bottom(consts.clone(), tracked);
 
     let mut ev = Evaluator::new(&prog);
     let reachable = graph.solve(&mut ev, &mut facts);
@@ -584,11 +578,11 @@ mod tests {
     #[test]
     fn worklist_dedups_while_waiting() {
         let mut w = Worklist::new(3);
-        assert!(w.push(1));
-        assert!(!w.push(1), "a waiting item is not queued twice");
-        assert!(w.push(2));
+        w.push(1);
+        w.push(1); // already waiting: not queued twice
+        w.push(2);
         assert_eq!(w.pop(), Some(1));
-        assert!(w.push(1), "a popped item can be queued again");
+        w.push(1); // popped, so it can be queued again
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), Some(1));
         assert_eq!(w.pop(), None);
