@@ -7,7 +7,7 @@
 //! written atomically (temp file + rename) into the checkpoint
 //! directory, recording:
 //!
-//! * a **fingerprint** of the spec, the property text, and every
+//! * a **fingerprint** of the spec, the parsed property, and every
 //!   verdict- or stats-relevant option (`budget_chunk` and `cancel` are
 //!   excluded, exactly as in the result-cache fingerprint),
 //! * the resume position `(unit, next_core)`,
@@ -46,7 +46,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use wave_ltl::parse_property;
+use wave_ltl::Property;
 use wave_obs::{NoopTracer, SearchTracer};
 use wave_store::{fnv1a, ByteReader, ByteWriter};
 
@@ -101,15 +101,15 @@ struct Checkpoint {
 }
 
 /// Fingerprint of everything that shapes the verdict and deterministic
-/// statistics: the spec, the property text, and the semantic options
+/// statistics: the spec, the parsed property, and the semantic options
 /// plus the state-store backend (tier splits appear in the stats).
 /// `budget_chunk` and `cancel` are excluded — they are tuning/control
 /// knobs that cannot change what a resumed run computes.
-fn fingerprint(verifier: &Verifier, property: &str) -> u64 {
+fn fingerprint(verifier: &Verifier, property: &Property) -> u64 {
     let o: &VerifyOptions = verifier.options();
     let mut w = ByteWriter::new();
     w.str(&format!("{:?}", verifier.spec().spec));
-    w.str(property);
+    w.str(&format!("{property:?}"));
     w.u8(u8::from(o.heuristic1));
     w.u8(u8::from(o.heuristic2));
     w.str(&format!("{:?}", o.pruning));
@@ -354,7 +354,7 @@ fn drive_unit<T: SearchTracer>(
 /// See the module docs for the resume invariant.
 pub fn check_checkpointed(
     verifier: &Verifier,
-    property: &str,
+    property: &Property,
     config: &CheckpointConfig,
 ) -> Result<CheckpointOutcome, VerifyError> {
     check_checkpointed_traced(verifier, property, config, &mut NoopTracer)
@@ -363,7 +363,7 @@ pub fn check_checkpointed(
 /// [`check_checkpointed`] with a tracer attached.
 pub fn check_checkpointed_traced<T: SearchTracer + Send>(
     verifier: &Verifier,
-    property: &str,
+    property: &Property,
     config: &CheckpointConfig,
     tracer: &mut T,
 ) -> Result<CheckpointOutcome, VerifyError> {
@@ -381,11 +381,10 @@ pub fn check_checkpointed_traced<T: SearchTracer + Send>(
 
 fn check_checkpointed_inner<T: SearchTracer>(
     verifier: &Verifier,
-    property: &str,
+    property: &Property,
     config: &CheckpointConfig,
     tracer: &mut T,
 ) -> Result<CheckpointOutcome, VerifyError> {
-    let prop = parse_property(property).map_err(VerifyError::Property)?;
     let fp = fingerprint(verifier, property);
     fs::create_dir_all(&config.dir).map_err(|e| VerifyError::Checkpoint(e.to_string()))?;
     let ckpt = load_checkpoint(&config.path(), fp);
@@ -404,7 +403,7 @@ fn check_checkpointed_inner<T: SearchTracer>(
         None => (0, 0, Stats::default(), 0, None, Duration::ZERO),
     };
 
-    let prepared = verifier.prepare(&prop)?;
+    let prepared = verifier.prepare(property)?;
     let mut drive = Drive {
         config,
         fp,
@@ -541,6 +540,10 @@ mod tests {
     /// the assignment enumeration).
     const PROP: &str = r#"forall x: G (seen(x) -> (exists y: tag(y)) | x = "go" | x = "other")"#;
 
+    fn parsed(text: &str) -> Property {
+        wave_ltl::parse_property(text).unwrap()
+    }
+
     fn deterministic(stats: &Stats) -> (u64, u64, u64, usize, usize) {
         (stats.configs, stats.cores, stats.assignments, stats.max_trie, stats.max_run_len)
     }
@@ -553,7 +556,8 @@ mod tests {
         assert!(baseline.stats.assignments > 1, "workload must be multi-unit");
         let tmp = TempDir::new();
         let cfg = CheckpointConfig::new(&tmp.0, 4);
-        let CheckpointOutcome::Finished(v) = check_checkpointed(&verifier, PROP, &cfg).unwrap()
+        let CheckpointOutcome::Finished(v) =
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap()
         else {
             panic!("no hook set, must finish")
         };
@@ -570,7 +574,7 @@ mod tests {
         let mut cfg = CheckpointConfig::new(&tmp.0, 4);
         cfg.stop_after_checkpoints = Some(1);
         let CheckpointOutcome::Interrupted { checkpoints_written } =
-            check_checkpointed(&verifier, PROP, &cfg).unwrap()
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap()
         else {
             panic!("hook must interrupt a multi-core check")
         };
@@ -578,7 +582,8 @@ mod tests {
         assert!(cfg.path().exists(), "interrupt leaves the checkpoint behind");
 
         cfg.stop_after_checkpoints = None;
-        let CheckpointOutcome::Finished(v) = check_checkpointed(&verifier, PROP, &cfg).unwrap()
+        let CheckpointOutcome::Finished(v) =
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap()
         else {
             panic!("resume must finish")
         };
@@ -605,7 +610,7 @@ mod tests {
         let mut sessions = 0;
         for _ in 0..limit {
             sessions += 1;
-            match check_checkpointed(&verifier, PROP, &cfg).unwrap() {
+            match check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap() {
                 CheckpointOutcome::Interrupted { .. } => continue,
                 CheckpointOutcome::Finished(v) => {
                     finished = Some(v);
@@ -626,7 +631,7 @@ mod tests {
         let mut cfg = CheckpointConfig::new(&tmp.0, 1);
         cfg.stop_after_checkpoints = Some(1);
         assert!(matches!(
-            check_checkpointed(&verifier, PROP, &cfg).unwrap(),
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap(),
             CheckpointOutcome::Interrupted { .. }
         ));
         // different property → different fingerprint → the stale file
@@ -634,7 +639,8 @@ mod tests {
         let other = r#"forall x: G (seen(x) -> (exists y: tag(y)) | x = "go")"#;
         cfg.stop_after_checkpoints = None;
         let baseline = verifier.check_str(other).unwrap();
-        let CheckpointOutcome::Finished(v) = check_checkpointed(&verifier, other, &cfg).unwrap()
+        let CheckpointOutcome::Finished(v) =
+            check_checkpointed(&verifier, &parsed(other), &cfg).unwrap()
         else {
             panic!("must finish")
         };
@@ -649,7 +655,8 @@ mod tests {
         let tmp = TempDir::new();
         let cfg = CheckpointConfig::new(&tmp.0, 4);
         fs::write(cfg.path(), b"not a checkpoint").unwrap();
-        let CheckpointOutcome::Finished(v) = check_checkpointed(&verifier, PROP, &cfg).unwrap()
+        let CheckpointOutcome::Finished(v) =
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap()
         else {
             panic!("must finish")
         };
@@ -669,11 +676,12 @@ mod tests {
         let mut cfg = CheckpointConfig::new(&tmp.0, 4);
         cfg.stop_after_checkpoints = Some(2);
         assert!(matches!(
-            check_checkpointed(&verifier, PROP, &cfg).unwrap(),
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap(),
             CheckpointOutcome::Interrupted { .. }
         ));
         cfg.stop_after_checkpoints = None;
-        let CheckpointOutcome::Finished(v) = check_checkpointed(&verifier, PROP, &cfg).unwrap()
+        let CheckpointOutcome::Finished(v) =
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap()
         else {
             panic!("resume must finish")
         };
@@ -693,7 +701,7 @@ mod tests {
             spill_dir: Some(file),
         });
         let cfg = CheckpointConfig::new(tmp.0.join("ckpt"), 4);
-        match check_checkpointed(&verifier, PROP, &cfg) {
+        match check_checkpointed(&verifier, &parsed(PROP), &cfg) {
             Err(VerifyError::Store(msg)) => {
                 assert!(msg.starts_with("tiered store: cannot create spill dir: "), "{msg}")
             }
@@ -710,13 +718,14 @@ mod tests {
         let mut cfg = CheckpointConfig::new(&tmp.0, 4);
         cfg.stop_after_checkpoints = Some(1);
         assert!(matches!(
-            check_checkpointed(&verifier, PROP, &cfg).unwrap(),
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap(),
             CheckpointOutcome::Interrupted { .. }
         ));
-        let ckpt = load_checkpoint(&cfg.path(), fingerprint(&verifier, PROP)).unwrap();
+        let ckpt = load_checkpoint(&cfg.path(), fingerprint(&verifier, &parsed(PROP))).unwrap();
         assert!(ckpt.pool_spent > 0, "interrupted run must have charged steps");
         cfg.stop_after_checkpoints = None;
-        let CheckpointOutcome::Finished(v) = check_checkpointed(&verifier, PROP, &cfg).unwrap()
+        let CheckpointOutcome::Finished(v) =
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap()
         else {
             panic!("resume must finish")
         };
@@ -733,7 +742,8 @@ mod tests {
         verifier.options_mut().max_steps = Some(5);
         let tmp = TempDir::new();
         let cfg = CheckpointConfig::new(&tmp.0, 4);
-        let CheckpointOutcome::Finished(v) = check_checkpointed(&verifier, PROP, &cfg).unwrap()
+        let CheckpointOutcome::Finished(v) =
+            check_checkpointed(&verifier, &parsed(PROP), &cfg).unwrap()
         else {
             panic!("exhaustion is completion, not interruption")
         };

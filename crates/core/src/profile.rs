@@ -30,8 +30,8 @@ use std::time::Instant;
 pub struct SearchProfile {
     /// Canonicalizing (sort + dedup) successor fact lists, inside `succP`.
     pub canon_ns: u64,
-    /// Interning configurations into the store (or byte-encoding them,
-    /// under the byte-key baseline backend).
+    /// Interning configurations into the hash-consing arena
+    /// ([`crate::ConfigStore`]).
     pub intern_ns: u64,
     /// `succP` successor computation (includes `canon_ns`).
     pub expand_ns: u64,

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeSet;
 
-use wave_flow::{RuleKind, RuleRef};
+use wave_flow::{FlowReport, RuleKind, RuleRef};
 use wave_spec::{sections, CompiledSpec};
 
 /// Slice facts in the verifier's coordinates, computed once per
@@ -65,13 +65,16 @@ impl SliceInfo {
         }
     }
 
-    /// Run the flow analyses over the compiled spec and build the
-    /// slice, narrowing the memo read-masks in place (the compiled
-    /// rule order is the AST rule order, so [`RuleRef`]s translate to
-    /// query ids positionally).
+    /// Run the flow analyses over the compiled spec and build the slice
+    /// from their report.
     pub fn compute(spec: &mut CompiledSpec) -> SliceInfo {
-        let report = wave_flow::analyze(&spec.spec);
+        SliceInfo::from_report(spec, &wave_flow::analyze(&spec.spec))
+    }
 
+    /// Build the slice from `spec.spec`'s flow report, narrowing the memo
+    /// read-masks in place (the compiled rule order is the AST rule
+    /// order, so [`RuleRef`]s translate to query ids positionally).
+    pub fn from_report(spec: &mut CompiledSpec, report: &FlowReport) -> SliceInfo {
         let mut live = vec![true; spec.num_queries as usize];
         let mut rules_removed = 0u64;
         for (pi, page) in spec.pages.iter().enumerate() {
@@ -119,6 +122,18 @@ impl SliceInfo {
     pub fn has_live_delete(&self, page: usize) -> bool {
         self.page_has_live_delete[page]
     }
+}
+
+/// Panic unless `report` is the flow report of `spec` on every field
+/// [`SliceInfo::from_report`] reads.
+#[cfg(debug_assertions)]
+pub(crate) fn check_report(spec: &wave_spec::Spec, report: &FlowReport) {
+    let read = |r: &FlowReport| {
+        let dead: Vec<RuleRef> = r.dead.iter().map(|d| d.rule).collect();
+        let pages = (r.reachable_pages.clone(), r.page_has_live_delete.clone());
+        (dead, pages, r.never_nonempty.clone(), r.monotone.clone())
+    };
+    assert_eq!(read(report), read(&wave_flow::analyze(spec)), "flow report of another spec");
 }
 
 /// Clear memo-mask section bits for rules whose only reads of that

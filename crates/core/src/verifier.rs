@@ -29,6 +29,7 @@ use crate::universe::{core_universe, ExtensionPruning, UniverseOverflow};
 use crate::visibility::Visibility;
 use std::ops::Range;
 use std::time::{Duration, Instant};
+use wave_flow::FlowReport;
 use wave_fol::{check_input_bounded, constants as fo_constants, Formula};
 use wave_ltl::{extract, nnf, parse_property, Buchi, Property};
 use wave_obs::{NoopSpans, NoopTracer, SearchTracer, SpanSink, TraceEvent, NO_INDEX};
@@ -281,15 +282,34 @@ impl Verifier {
         Verifier::with_options(spec, VerifyOptions::default())
     }
 
-    /// Build with explicit options.
+    /// Build with explicit options, running the flow analyses here.
     pub fn with_options(spec: Spec, options: VerifyOptions) -> Result<Verifier, VerifyError> {
-        let mut compiled = CompiledSpec::compile(spec)?;
-        let slice = if options.slice {
-            crate::slice::SliceInfo::compute(&mut compiled)
-        } else {
-            crate::slice::SliceInfo::full(&compiled)
+        let compiled = CompiledSpec::compile(spec)?;
+        let report = options.slice.then(|| wave_flow::analyze(&compiled.spec));
+        Ok(Verifier::sliced(compiled, report.as_ref(), options))
+    }
+
+    /// Build with explicit options over `report`, the flow report of
+    /// `spec` a front end already made (`wave_lint::FrontEnd`), so the
+    /// slice costs no second analysis. Debug builds check the report.
+    pub fn with_flow(
+        spec: Spec,
+        report: &FlowReport,
+        options: VerifyOptions,
+    ) -> Result<Verifier, VerifyError> {
+        let compiled = CompiledSpec::compile(spec)?;
+        #[cfg(debug_assertions)]
+        crate::slice::check_report(&compiled.spec, report);
+        Ok(Verifier::sliced(compiled, options.slice.then_some(report), options))
+    }
+
+    /// The verifier over `spec`, sliced by `flow` (identity without).
+    fn sliced(mut spec: CompiledSpec, flow: Option<&FlowReport>, options: VerifyOptions) -> Self {
+        let slice = match flow {
+            Some(report) => crate::slice::SliceInfo::from_report(&mut spec, report),
+            None => crate::slice::SliceInfo::full(&spec),
         };
-        Ok(Verifier { spec: compiled, options, slice: std::sync::Arc::new(slice) })
+        Verifier { spec, options, slice: std::sync::Arc::new(slice) }
     }
 
     /// The slice driving this verifier's searches (identity under
@@ -311,8 +331,9 @@ impl Verifier {
 
     /// Options (mutable, so harnesses can toggle heuristics between runs).
     /// `slice` is the one option that only takes effect at construction
-    /// ([`Verifier::with_options`]): the flow analyses and mask narrowing
-    /// run once while compiling, so toggling it here is a no-op.
+    /// ([`Verifier::with_options`], [`Verifier::with_flow`]): the slice and
+    /// mask narrowing are built once while compiling, so toggling it here
+    /// is a no-op.
     pub fn options_mut(&mut self) -> &mut VerifyOptions {
         &mut self.options
     }

@@ -17,8 +17,13 @@
 //! 6. fixpoint dataflow findings (guard-unsat rules, always-empty
 //!    relations, flow-unreachable pages, monotone state — via
 //!    [`wave_flow`]).
+//!
+//! [`FrontEnd`] is the one place a request's text becomes a checked spec:
+//! the verifier gets the spec, properties and [`FlowReport`] the
+//! diagnostics came from.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 pub mod diag;
 pub mod passes;
@@ -30,13 +35,15 @@ pub use diag::{
     code_description, code_explanation, code_severity, Diagnostic, Origin, Severity, CODES,
     EXPLANATIONS,
 };
-pub use passes::ParsedProperty;
 pub use render::{render_json, render_text, summary, SourceSet};
 pub use sarif::render_sarif;
 
 use diag::{E0001, E0002};
+use passes::ParsedProperty;
+use wave_flow::FlowReport;
 use wave_fol::{ParseError, Span};
-use wave_spec::{Spec, SpecError};
+use wave_ltl::Property;
+use wave_spec::{CompileSpecError, Spec, SpecError};
 
 /// One property source handed to the linter alongside the spec.
 #[derive(Clone, Debug)]
@@ -61,65 +68,105 @@ impl LintRequest {
     pub fn spec_only(path: impl Into<String>, src: impl Into<String>) -> LintRequest {
         LintRequest { spec_path: path.into(), spec_src: src.into(), properties: Vec::new() }
     }
+
+    /// A request with the one property of a check, labelled `property`.
+    pub fn with_property(path: String, src: String, text: String) -> LintRequest {
+        let properties = vec![PropertySource { label: "property".to_string(), text }];
+        LintRequest { spec_path: path, spec_src: src, properties }
+    }
 }
 
-/// Lint a request end to end: parse, validate, run every pass. Diagnostics
-/// come back sorted by artifact and source position. Parse and validation
-/// failures are themselves diagnostics ([`diag::E0001`], [`diag::E0002`]);
-/// the semantic passes run only on a structurally valid spec.
-pub fn lint(req: &LintRequest) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+/// Why a request's spec text gave no spec to check.
+#[derive(Debug)]
+pub enum SpecFailure {
+    Parse(ParseError),
+    /// The errors of [`Spec::validate`], in its order.
+    Invalid(Vec<SpecError>),
+}
 
-    let mut parsed_props = Vec::new();
-    for (i, p) in req.properties.iter().enumerate() {
-        match wave_ltl::parse_property(&p.text) {
-            Ok(mut prop) => {
-                prop.body = prop.body.group_fo();
-                parsed_props.push(ParsedProperty { index: i, property: prop });
-            }
-            Err(e) => out.push(parse_error_diag(&e).in_property(i)),
+impl fmt::Display for SpecFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecFailure::Parse(e) => write!(f, "{e}"),
+            // the wording the verifier's compile step uses for the same errors
+            SpecFailure::Invalid(errs) => write!(f, "{}", CompileSpecError::Invalid(errs.clone())),
         }
     }
-
-    match wave_spec::parse_spec(&req.spec_src) {
-        Err(e) => out.push(parse_error_diag(&e)),
-        Ok(spec) => match spec.validate() {
-            Err(errs) => {
-                for e in errs {
-                    let mut d = Diagnostic::new(E0002, e.to_string());
-                    if let Some(span) = spec_error_span(&spec, &e) {
-                        d = d.with_span(span);
-                    }
-                    out.push(d);
-                }
-            }
-            Ok(()) => passes::run_all(&spec, &parsed_props, &mut out),
-        },
-    }
-
-    sort_diagnostics(&mut out);
-    out
 }
 
-/// Lint an already parsed *and validated* spec (plus properties grouped
-/// with `group_fo`, as [`lint`] groups them). Used by `wave check`, which
-/// has the spec in hand anyway; skips the E0001/E0002 stages. The
-/// verification service lints from text with [`lint`].
-pub fn lint_spec(spec: &Spec, props: &[ParsedProperty]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    passes::run_all(spec, props, &mut out);
-    sort_diagnostics(&mut out);
-    out
+/// One request's front end: its spec and property texts parsed, the spec
+/// validated and flow-analyzed, and every lint pass run, each once.
+/// `wave check`, the verification service and [`lint`] all start here.
+#[derive(Debug)]
+pub struct FrontEnd {
+    /// The request's properties, parsed, in request order.
+    pub properties: Vec<Result<Property, ParseError>>,
+    /// The validated spec with its flow report, or why there is none.
+    pub spec: Result<(Spec, FlowReport), SpecFailure>,
+    /// Every finding, sorted by artifact and source position; parse and
+    /// validation failures are E0001/E0002 findings, and the semantic
+    /// passes run only on a valid spec.
+    pub diagnostics: Vec<Diagnostic>,
+}
+
+impl FrontEnd {
+    /// Parse, validate, analyze and lint `req`.
+    pub fn new(req: &LintRequest) -> FrontEnd {
+        FrontEnd::build(req, wave_spec::parse_spec(&req.spec_src))
+    }
+
+    /// The front end of a request whose spec text `spec` is the parse of.
+    pub fn parsed(req: &LintRequest, spec: Spec) -> FrontEnd {
+        FrontEnd::build(req, Ok(spec))
+    }
+
+    fn build(req: &LintRequest, spec: Result<Spec, ParseError>) -> FrontEnd {
+        let properties: Vec<_> =
+            req.properties.iter().map(|p| wave_ltl::parse_property(&p.text)).collect();
+        let mut diagnostics = Vec::new();
+        let mut parsed = Vec::new();
+        for (index, p) in properties.iter().enumerate() {
+            match p {
+                Ok(property) => parsed.push(ParsedProperty { index, property }),
+                Err(e) => diagnostics.push(parse_error_diag(e).in_property(index)),
+            }
+        }
+        let spec = match spec {
+            Err(e) => {
+                diagnostics.push(parse_error_diag(&e));
+                Err(SpecFailure::Parse(e))
+            }
+            Ok(spec) => match spec.validate() {
+                Err(errs) => {
+                    diagnostics.extend(errs.iter().map(|e| invalid_diag(&spec, e)));
+                    Err(SpecFailure::Invalid(errs))
+                }
+                Ok(()) => {
+                    let flow = wave_flow::analyze(&spec);
+                    passes::run_all(&spec, &flow, &parsed, &mut diagnostics);
+                    Ok((spec, flow))
+                }
+            },
+        };
+        sort_diagnostics(&mut diagnostics);
+        FrontEnd { properties, spec, diagnostics }
+    }
+}
+
+/// Lint a request end to end: the diagnostics of its [`FrontEnd`].
+pub fn lint(req: &LintRequest) -> Vec<Diagnostic> {
+    FrontEnd::new(req).diagnostics
 }
 
 fn parse_error_diag(e: &ParseError) -> Diagnostic {
     Diagnostic::new(E0001, e.message.clone()).with_span(Span::point(e.pos))
 }
 
-/// Best source anchor for a structural validation error.
-fn spec_error_span(spec: &Spec, e: &SpecError) -> Option<Span> {
+/// The E0002 finding for a structural validation error, at its best
+/// source anchor.
+fn invalid_diag(spec: &Spec, e: &SpecError) -> Diagnostic {
     let page_span = |name: &str| spec.page(name).map(|p| p.span);
-    match e {
+    let span = match e {
         SpecError::DuplicateRelation(n) => spec.decl_span(n),
         SpecError::DuplicatePage(n) => {
             spec.pages.iter().rev().find(|p| p.name == *n).map(|p| p.span)
@@ -149,8 +196,12 @@ fn spec_error_span(spec: &Spec, e: &SpecError) -> Option<Span> {
         | SpecError::WrongRuleKind { page, .. }
         | SpecError::PrevOnNonInput { page, .. }
         | SpecError::UnknownPageRef { page, .. } => page_span(page),
+    };
+    let d = Diagnostic::new(E0002, e.to_string());
+    match span.filter(|s| !s.is_dummy()) {
+        Some(span) => d.with_span(span),
+        None => d,
     }
-    .filter(|s| !s.is_dummy())
 }
 
 fn sort_diagnostics(diags: &mut [Diagnostic]) {

@@ -48,7 +48,7 @@ pub fn run(spec: &Spec, props: &[ParsedProperty], out: &mut Vec<Diagnostic>) {
     // those, here they simply match nothing).
     let mut prop_reads: HashSet<String> = HashSet::new();
     for pp in props {
-        for comp in fo_components(&pp.property) {
+        for comp in fo_components(pp.property) {
             comp.visit_atoms(&mut |a| {
                 prop_reads.insert(a.rel.clone());
             });

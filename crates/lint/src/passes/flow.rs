@@ -1,8 +1,9 @@
 //! Pass 6: fixpoint dataflow findings (the wave-flow analyses).
 //!
-//! Runs [`wave_flow::analyze`] — the same least-fixpoint abstract
-//! interpretation the verifier's slice is built from — and reports what
-//! the purely syntactic passes cannot see:
+//! Reads the request's [`FlowReport`] — the one least-fixpoint abstract
+//! interpretation [`crate::FrontEnd`] runs, which the verifier's slice is
+//! built from too — and reports what the purely syntactic passes cannot
+//! see:
 //!
 //! * a rule whose guard is *statically unsatisfiable* given relation
 //!   emptiness and option value sets ([`crate::diag::W0601`]), with the
@@ -20,19 +21,24 @@
 //! trivially false bodies are W0304/W0202, syntactically unreachable
 //! pages are W0201, and rules on such pages are implied dead by them.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 
 use crate::diag::{Diagnostic, N0604, W0601, W0602, W0603};
 use crate::simplify::{truth, Tri};
-use wave_flow::{RuleKind, RuleRef};
+use wave_flow::{FlowReport, RuleKind, RuleRef};
 use wave_spec::Spec;
 
 use super::ParsedProperty;
 
-pub fn run(spec: &Spec, props: &[ParsedProperty], out: &mut Vec<Diagnostic>) {
-    let report = wave_flow::analyze(spec);
-    let syntactic = syntactic_reachable(spec);
-
+/// `syntactic` is the page set pass 2 reached in the syntactic page
+/// graph, so suppression of already-reported findings agrees with it.
+pub fn run(
+    spec: &Spec,
+    report: &FlowReport,
+    syntactic: &HashSet<&str>,
+    props: &[ParsedProperty],
+    out: &mut Vec<Diagnostic>,
+) {
     for dead in &report.dead {
         let page = &spec.pages[dead.rule.page];
         // already reported: W0304/W0202 (trivially false body) and
@@ -107,35 +113,6 @@ pub fn run(spec: &Spec, props: &[ParsedProperty], out: &mut Vec<Diagnostic>) {
         }
         out.push(d);
     }
-}
-
-/// The pages reachable in the *syntactic* page graph (edges whose
-/// condition is not trivially false) — the same graph pass 2 walks, so
-/// suppression of already-reported findings agrees with it.
-fn syntactic_reachable(spec: &Spec) -> HashSet<&str> {
-    let mut edges: HashMap<&str, Vec<&str>> = HashMap::new();
-    for p in &spec.pages {
-        let succs = edges.entry(p.name.as_str()).or_default();
-        for r in &p.target_rules {
-            if truth(&r.condition) != Tri::False {
-                succs.push(r.target.as_str());
-            }
-        }
-    }
-    let mut reached: HashSet<&str> = HashSet::new();
-    let mut queue: VecDeque<&str> = VecDeque::new();
-    if spec.page(&spec.home).is_some() {
-        reached.insert(spec.home.as_str());
-        queue.push_back(spec.home.as_str());
-    }
-    while let Some(page) = queue.pop_front() {
-        for succ in edges.get(page).into_iter().flatten() {
-            if reached.insert(succ) {
-                queue.push_back(succ);
-            }
-        }
-    }
-    reached
 }
 
 fn rule_body<'s>(spec: &'s Spec, r: &RuleRef) -> &'s wave_fol::Formula {

@@ -2,10 +2,12 @@
 //!
 //! Each pass inspects a *validated* [`wave_spec::Spec`] (and, where
 //! relevant, the parsed LTL-FO properties) and appends [`Diagnostic`]s.
-//! Passes are independent; [`run_all`] runs them in a fixed order and the
-//! caller sorts the combined output by source position.
+//! [`run_all`] runs them in a fixed order and the caller sorts the
+//! combined output by source position. Pass 6 reads the spec's flow
+//! report and the page set pass 2 reached, so neither is computed twice.
 
 use crate::diag::Diagnostic;
+use wave_flow::FlowReport;
 use wave_ltl::{Ltl, Property};
 use wave_spec::Spec;
 
@@ -18,19 +20,24 @@ pub mod reach;
 
 /// A property that survived parsing, tagged with its index in the lint
 /// request (diagnostics use the index as their [`crate::diag::Origin`]).
-pub struct ParsedProperty {
+pub struct ParsedProperty<'a> {
     pub index: usize,
-    pub property: Property,
+    pub property: &'a Property,
 }
 
-/// Run every semantic pass over a validated spec.
-pub fn run_all(spec: &Spec, props: &[ParsedProperty], out: &mut Vec<Diagnostic>) {
+/// Run every semantic pass over a validated spec and its flow report.
+pub fn run_all(
+    spec: &Spec,
+    report: &FlowReport,
+    props: &[ParsedProperty],
+    out: &mut Vec<Diagnostic>,
+) {
     bounded::run(spec, out);
-    reach::run(spec, out);
+    let reached = reach::run(spec, out);
     dead::run(spec, props, out);
     conflict::run(spec, out);
     property::run(spec, props, out);
-    flow::run(spec, props, out);
+    flow::run(spec, report, &reached, props, out);
 }
 
 /// The maximal FO components of a property body (the paper's `frFO(φ)`).

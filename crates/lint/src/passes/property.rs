@@ -23,7 +23,7 @@ pub fn run(spec: &Spec, props: &[ParsedProperty], out: &mut Vec<Diagnostic>) {
     for pp in props {
         // report each unknown name once per property, not once per occurrence
         let mut reported: HashSet<String> = HashSet::new();
-        for comp in fo_components(&pp.property) {
+        for comp in fo_components(pp.property) {
             comp.visit_atoms(&mut |a| match spec.arity_of(&a.rel) {
                 None => {
                     if reported.insert(a.rel.clone()) {

@@ -5,7 +5,9 @@
 //! page. Pages no run can ever display get [`crate::diag::W0201`];
 //! target rules whose condition the constant analysis refutes get
 //! [`crate::diag::W0202`] — such an edge also does not count for
-//! reachability, so a page only linked through it is reported too.
+//! reachability, so a page only linked through it is reported too. The
+//! reached set is returned for pass 6, which suppresses what this pass
+//! already reports.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -13,7 +15,8 @@ use crate::diag::{Diagnostic, W0201, W0202};
 use crate::simplify::{truth, Tri};
 use wave_spec::Spec;
 
-pub fn run(spec: &Spec, out: &mut Vec<Diagnostic>) {
+/// Report W0202 and W0201, and return the pages reached from home.
+pub fn run<'s>(spec: &'s Spec, out: &mut Vec<Diagnostic>) -> HashSet<&'s str> {
     let mut edges: HashMap<&str, Vec<&str>> = HashMap::new();
     for p in &spec.pages {
         let succs = edges.entry(p.name.as_str()).or_default();
@@ -65,4 +68,5 @@ pub fn run(spec: &Spec, out: &mut Vec<Diagnostic>) {
             );
         }
     }
+    reached
 }

@@ -160,6 +160,7 @@ mod tests {
             Box::new(Ltl::Or(Box::new(fo("c()")), Box::new(Ltl::Not(Box::new(fo("d()")))))),
         );
         let g = l.group_fo();
+        assert_eq!(g.group_fo(), g, "grouping is idempotent");
         match g {
             Ltl::U(a, b) => {
                 assert!(matches!(*a, Ltl::Fo(_)));
@@ -176,7 +177,9 @@ mod tests {
             Box::new(fo("a()")),
             Box::new(Ltl::F(Box::new(fo("b()")))),
         )));
-        match l.group_fo() {
+        let g = l.group_fo();
+        assert_eq!(g.group_fo(), g, "grouping is idempotent");
+        match g {
             Ltl::G(inner) => match *inner {
                 Ltl::Implies(lhs, rhs) => {
                     assert!(matches!(*lhs, Ltl::Fo(_)));

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use wave_apps::AppSuite;
 use wave_core::{Budget, Stats, Verdict, Verification, Verifier, VerifyOptions};
-use wave_ltl::parse_property;
-use wave_spec::{parse_spec, print_spec, Spec};
+use wave_lint::{FrontEnd, SpecFailure};
+use wave_spec::print_spec;
 
 /// Service configuration.
 #[derive(Clone, Debug)]
@@ -352,11 +352,8 @@ impl VerifyService {
         let options = parse_options(request.get("options"))?;
         let property = request
             .get("property")
-            .map(|p| p.as_str().map(str::to_string).ok_or("\"property\" must be a string"));
-        let property = match property {
-            Some(p) => Some(p?),
-            None => None,
-        };
+            .map(|p| p.as_str().map(str::to_string).ok_or("\"property\" must be a string"))
+            .transpose()?;
 
         if let Some(suite_name) = request.get("suite") {
             let suite_name = suite_name.as_str().ok_or("\"suite\" must be a string")?;
@@ -380,44 +377,45 @@ impl VerifyService {
             Some(n) => n.as_str().ok_or("\"name\" must be a string")?.to_string(),
             None => default_name.to_string(),
         };
-        let spec = parse_spec(&spec_text).map_err(|e| format!("{origin}: {e}"))?;
-        let lint_req = wave_lint::LintRequest {
-            spec_path: origin,
-            spec_src: spec_text,
-            properties: vec![wave_lint::PropertySource {
-                label: "property".to_string(),
-                text: property.clone(),
-            }],
-        };
-        let mut record = self.check_one(&name, spec, &property, options);
-        record.diagnostics = lint_records(&lint_req);
+        let lint_req = wave_lint::LintRequest::with_property(origin, spec_text, property);
+        let front = FrontEnd::new(&lint_req);
+        if let Err(SpecFailure::Parse(e)) = &front.spec {
+            return Err(format!("{}: {e}", lint_req.spec_path));
+        }
+        let diagnostics = diagnostic_records(&lint_req, &front.diagnostics);
+        let mut record = self.check_one(&name, front, &lint_req.properties[0].text, options);
+        record.diagnostics = diagnostics;
         Ok(vec![record])
     }
 
-    /// Verify one (spec, property) pair, cache-aware.
-    pub fn check_one(
+    /// Verify the one property of `front` (whose text is `property`),
+    /// cache-aware.
+    fn check_one(
         &self,
         name: &str,
-        spec: Spec,
+        front: FrontEnd,
         property: &str,
         options: VerifyOptions,
     ) -> JobRecord {
-        let canonical = print_spec(&spec);
-        let key = fingerprint(&canonical, property, &options);
+        let (spec, flow) = match front.spec {
+            Ok(checked) => checked,
+            Err(failure) => return JobRecord::error(name, failure),
+        };
+        let key = fingerprint(&print_spec(&spec), property, &options);
         if let Some(hit) = self.cache.as_ref().and_then(|c| c.get(&key)) {
             return JobRecord::from_cached(name, &hit);
         }
-        let verifier = match Verifier::with_options(spec, options) {
+        let verifier = match Verifier::with_flow(spec, &flow, options) {
             Ok(v) => v,
             Err(e) => return JobRecord::error(name, e),
         };
-        let prop = match parse_property(property) {
+        let prop = match &front.properties[0] {
             Ok(p) => p,
             Err(e) => return JobRecord::error(name, format!("property: {e}")),
         };
         self.metrics.checks_total.inc();
         self.metrics.checks_inflight.inc();
-        let result = scheduler::check_parallel(&verifier, &prop, &self.popts);
+        let result = scheduler::check_parallel(&verifier, prop, &self.popts);
         self.metrics.checks_inflight.dec();
         match result {
             Ok(v) => {
@@ -436,8 +434,11 @@ impl VerifyService {
         only: Option<&str>,
         options: VerifyOptions,
     ) -> Vec<JobRecord> {
-        let cases: Vec<_> =
-            suite.properties.iter().filter(|c| only.is_none_or(|p| c.name == p)).collect();
+        // the cases to run, by their index in the suite (which is also
+        // their index among the front end's properties)
+        let cases: Vec<usize> = (0..suite.properties.len())
+            .filter(|&i| only.is_none_or(|p| suite.properties[i].name == p))
+            .collect();
         if cases.is_empty() {
             let which = only.unwrap_or("<any>");
             return vec![JobRecord::error(
@@ -445,6 +446,7 @@ impl VerifyService {
                 format!("suite {} has no property {which:?}", suite.name),
             )];
         }
+        let name = |i: usize| format!("{}/{}", suite.name, suite.properties[i].name);
         // lint once against the full property suite (not just `only`): the
         // suite defines the spec's complete observable set, so dead-code
         // findings would be spurious against a single-property slice
@@ -460,75 +462,61 @@ impl VerifyService {
                 })
                 .collect(),
         };
-        let diagnostics = lint_records(&lint_req);
+        let front = FrontEnd::parsed(&lint_req, suite.spec.clone());
+        let diagnostics = diagnostic_records(&lint_req, &front.diagnostics);
         let canonical = print_spec(&suite.spec);
-        let mut records: Vec<Option<JobRecord>> = vec![None; cases.len()];
-        let mut fresh: Vec<(usize, String)> = Vec::new(); // (case index, key)
-        for (i, case) in cases.iter().enumerate() {
-            let name = format!("{}/{}", suite.name, case.name);
-            let key = fingerprint(&canonical, &case.text, &options);
-            if let Some(hit) = self.cache.as_ref().and_then(|c| c.get(&key)) {
-                records[i] = Some(JobRecord::from_cached(&name, &hit));
-            } else {
-                fresh.push((i, key));
+        let mut records: Vec<Option<JobRecord>> = vec![None; suite.properties.len()];
+        let mut fresh: Vec<(usize, String)> = Vec::new(); // (suite index, key)
+        for &i in &cases {
+            let key = fingerprint(&canonical, &suite.properties[i].text, &options);
+            match self.cache.as_ref().and_then(|c| c.get(&key)) {
+                Some(hit) => records[i] = Some(JobRecord::from_cached(&name(i), &hit)),
+                None => fresh.push((i, key)),
             }
         }
 
         if !fresh.is_empty() {
-            let verifier = match Verifier::with_options(suite.spec.clone(), options) {
-                Ok(v) => v,
-                Err(e) => {
-                    // the spec failed to compile: every fresh case fails
-                    for (i, _) in &fresh {
-                        let name = format!("{}/{}", suite.name, cases[*i].name);
-                        records[*i] = Some(JobRecord::error(&name, &e));
-                    }
-                    return records
-                        .into_iter()
-                        .map(|r| {
-                            let mut r = r.unwrap();
-                            r.diagnostics = diagnostics.clone();
-                            r
-                        })
-                        .collect();
-                }
-            };
-            // parse + prepare each property; parse failures become error
-            // records and drop out of the scheduled set
+            let verifier = front.spec.map_err(|f| f.to_string()).and_then(|(spec, flow)| {
+                Verifier::with_flow(spec, &flow, options).map_err(|e| e.to_string())
+            });
+            // prepare each property; a spec that failed to compile or a
+            // property that failed to parse makes an error record, and
+            // the case drops out of the scheduled set
             let mut scheduled: Vec<(usize, String)> = Vec::new();
             let mut prepared = Vec::new();
             for (i, key) in fresh {
-                let name = format!("{}/{}", suite.name, cases[i].name);
-                match parse_property(&cases[i].text)
-                    .map_err(|e| format!("property: {e}"))
-                    .and_then(|p| verifier.prepare(&p).map_err(|e| e.to_string()))
-                {
+                let check = verifier.as_ref().map_err(String::clone).and_then(|v| {
+                    let p = front.properties[i].as_ref().map_err(|e| format!("property: {e}"))?;
+                    v.prepare(p).map_err(|e| e.to_string())
+                });
+                match check {
                     Ok(p) => {
                         scheduled.push((i, key));
                         prepared.push(p);
                     }
-                    Err(e) => records[i] = Some(JobRecord::error(&name, e)),
+                    Err(e) => records[i] = Some(JobRecord::error(&name(i), e)),
                 }
             }
-            self.metrics.checks_total.add(prepared.len() as u64);
-            self.metrics.checks_inflight.add(prepared.len() as i64);
-            let results = scheduler::run_prepared(verifier.options(), &prepared, &self.popts);
-            self.metrics.checks_inflight.add(-(prepared.len() as i64));
-            for ((i, key), result) in scheduled.into_iter().zip(results) {
-                let name = format!("{}/{}", suite.name, cases[i].name);
-                records[i] = Some(match result {
-                    Ok(v) => {
-                        self.store(&key, &v);
-                        JobRecord::from_verification(&name, &v)
-                    }
-                    Err(e) => JobRecord::error(&name, e),
-                });
+            if let Ok(verifier) = &verifier {
+                self.metrics.checks_total.add(prepared.len() as u64);
+                self.metrics.checks_inflight.add(prepared.len() as i64);
+                let results = scheduler::run_prepared(verifier.options(), &prepared, &self.popts);
+                self.metrics.checks_inflight.add(-(prepared.len() as i64));
+                for ((i, key), result) in scheduled.into_iter().zip(results) {
+                    records[i] = Some(match result {
+                        Ok(v) => {
+                            self.store(&key, &v);
+                            JobRecord::from_verification(&name(i), &v)
+                        }
+                        Err(e) => JobRecord::error(&name(i), e),
+                    });
+                }
             }
         }
-        records
+        cases
             .into_iter()
-            .map(|r| {
-                let mut r = r.unwrap();
+            .map(|i| {
+                let mut r = records[i].take().expect("every case has a record");
                 r.diagnostics = diagnostics.clone();
                 r
             })

@@ -208,24 +208,15 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 fn load_spec(path: &str) -> Result<(wave::Spec, String), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let spec = parse_spec(&src).map_err(|e| format!("{path}: {e}"))?;
-    if let Err(errs) = spec.validate() {
-        let mut msg = format!("{path}: specification is invalid:\n");
-        for e in errs {
-            msg.push_str(&format!("  - {e}\n"));
-        }
-        return Err(msg);
-    }
+    spec.validate().map_err(|errs| format!("{path}: {}", wave_lint::SpecFailure::Invalid(errs)))?;
     Ok((spec, src))
 }
 
 fn cmd_check(rest: &[String]) -> ExitCode {
     let mut args = rest.to_vec();
-    let property_text = match take_value(&mut args, "--property") {
-        Some(p) => p,
-        None => {
-            eprintln!("check needs --property \"<LTL-FO>\"");
-            return ExitCode::from(2);
-        }
+    let Some(property_text) = take_value(&mut args, "--property") else {
+        eprintln!("check needs --property \"<LTL-FO>\"");
+        return ExitCode::from(2);
     };
     let mut options = VerifyOptions::default();
     if let Some(n) = take_value(&mut args, "--max-steps") {
@@ -376,45 +367,31 @@ fn cmd_check(rest: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let (spec, src) = match load_spec(path) {
+    let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("cannot read {path}: {e}");
             return ExitCode::from(2);
         }
     };
-    // lint pre-pass: static findings over the spec and property, on
-    // stderr in human mode and embedded in the --json record; never
-    // blocks verification (even error-level findings, e.g. an undeclared
-    // relation, surface a clearer message here than the verifier's)
-    let lint_req = wave_lint::LintRequest {
-        spec_path: path.clone(),
-        spec_src: src,
-        properties: vec![wave_lint::PropertySource {
-            label: "property".to_string(),
-            text: property_text.clone(),
-        }],
-    };
-    let property = parse_property(&property_text);
-    let lint_diags = match &property {
-        // the spec is already parsed and validated: lint it as it is,
-        // with the property grouped the way `wave_lint::lint` groups it
-        Ok(p) => {
-            let mut grouped = p.clone();
-            grouped.body = grouped.body.group_fo();
-            wave_lint::lint_spec(
-                &spec,
-                &[wave_lint::ParsedProperty { index: 0, property: grouped }],
-            )
+    // one front end: its lint findings go to stderr in human mode and into
+    // the --json record, and never block verification (even error-level
+    // findings surface a clearer message here than the verifier's)
+    let lint_req = wave_lint::LintRequest::with_property(path.clone(), src, property_text.clone());
+    let wave_lint::FrontEnd { mut properties, spec, diagnostics: lint_diags } =
+        wave_lint::FrontEnd::new(&lint_req);
+    let (spec, flow) = match spec {
+        Ok(checked) => checked,
+        Err(failure) => {
+            eprintln!("{path}: {failure}");
+            return ExitCode::from(2);
         }
-        // from the text, so the property's E0001 diagnostic is reported
-        Err(_) => wave_lint::lint(&lint_req),
     };
     if !json_out && !quiet && !lint_diags.is_empty() {
         eprint!("{}", wave_lint::render_text(&lint_req, &lint_diags));
         eprintln!("lint: {}", wave_lint::summary(&lint_diags));
     }
-    let property = match property {
+    let property = match properties.remove(0) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("property: {e}");
@@ -425,7 +402,7 @@ fn cmd_check(rest: &[String]) -> ExitCode {
     // capture it before the spec moves into the verifier
     let spec_text =
         if fleet_addr.is_some() { wave::spec::print_spec(&spec) } else { String::new() };
-    let verifier = match Verifier::with_options(spec, options) {
+    let verifier = match Verifier::with_flow(spec, &flow, options) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -439,7 +416,7 @@ fn cmd_check(rest: &[String]) -> ExitCode {
         match (&checkpoint_dir, &trace_out, jobs) {
             (Some(dir), _, _) => {
                 let config = wave::core::CheckpointConfig::new(dir, checkpoint_every);
-                match wave::core::check_checkpointed(&verifier, &property_text, &config) {
+                match wave::core::check_checkpointed(&verifier, &property, &config) {
                     Ok(wave::core::CheckpointOutcome::Finished(v)) => Ok(v),
                     Ok(wave::core::CheckpointOutcome::Interrupted { .. }) => {
                         unreachable!("the interrupt hook is never armed from the CLI")
@@ -483,16 +460,17 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             eprintln!("profile: wrote {out}");
         }
     }
-    if json_out {
-        // the same record format batch and serve emit
-        if let Verdict::Violated(ce) = &v.verdict {
-            if !no_replay {
-                if let Err(e) = verifier.validate_counterexample(&property, ce) {
-                    eprintln!("internal error: counterexample failed replay: {e}");
-                    return ExitCode::from(2);
-                }
+    // replay a counterexample once, before either output mode reports it
+    if let Verdict::Violated(ce) = &v.verdict {
+        if !no_replay {
+            if let Err(e) = verifier.validate_counterexample(&property, ce) {
+                eprintln!("internal error: counterexample failed replay: {e}");
+                return ExitCode::from(2);
             }
         }
+    }
+    if json_out {
+        // the same record format batch and serve emit
         let mut record = wave_svc::JobRecord::from_verification(path, &v);
         record.diagnostics = wave_svc::diagnostic_records(&lint_req, &lint_diags);
         println!("{}", record.to_json());
@@ -525,12 +503,6 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Verdict::Violated(ce) => {
-            if !no_replay {
-                if let Err(e) = verifier.validate_counterexample(&property, ce) {
-                    eprintln!("internal error: counterexample failed replay: {e}");
-                    return ExitCode::from(2);
-                }
-            }
             if quiet {
                 println!("violated");
             } else {
@@ -2184,7 +2156,7 @@ fn cmd_automaton(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let extraction = wave::ltl::extract(&property.body.group_fo());
+    let extraction = wave::ltl::extract(&property.body);
     println!("FO components:");
     for (i, f) in extraction.components.iter().enumerate() {
         println!("  P{i} := {f}");

@@ -21,7 +21,7 @@ use wave::apps::AppSuite;
 use wave::core::{
     check_checkpointed, CheckpointConfig, CheckpointOutcome, StateStoreKind, TierParams,
 };
-use wave::{parse_spec, Verdict, Verifier, VerifyOptions};
+use wave::{parse_property, parse_spec, Verdict, Verifier, VerifyOptions};
 
 /// A hot tier of ~128 slots: properties past ~100 distinct pairs spill.
 const TINY_BUDGET_BYTES: u64 = 1152;
@@ -207,10 +207,11 @@ fn kill_and_resume_on_tiered_matches_the_uninterrupted_interned_run() {
 
     let tiny = TierParams { mem_bytes: 1, spill_dir: None };
     let verifier = multiunit_verifier(StateStoreKind::Tiered(tiny));
+    let property = parse_property(MULTIUNIT_PROP).unwrap();
     let mut config = CheckpointConfig::new(&dir, 3);
     config.stop_after_checkpoints = Some(1);
     let CheckpointOutcome::Interrupted { checkpoints_written } =
-        check_checkpointed(&verifier, MULTIUNIT_PROP, &config).unwrap()
+        check_checkpointed(&verifier, &property, &config).unwrap()
     else {
         panic!("the stop hook must interrupt the run")
     };
@@ -218,7 +219,7 @@ fn kill_and_resume_on_tiered_matches_the_uninterrupted_interned_run() {
 
     config.stop_after_checkpoints = None;
     let CheckpointOutcome::Finished(resumed) =
-        check_checkpointed(&verifier, MULTIUNIT_PROP, &config).unwrap()
+        check_checkpointed(&verifier, &property, &config).unwrap()
     else {
         panic!("the resumed run must finish")
     };
