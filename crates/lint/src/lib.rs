@@ -138,7 +138,13 @@ impl FrontEnd {
             }
             Ok(spec) => match spec.validate() {
                 Err(errs) => {
-                    diagnostics.extend(errs.iter().map(|e| invalid_diag(&spec, e)));
+                    for e in &errs {
+                        let mut d = Diagnostic::new(E0002, e.to_string());
+                        if let Some(span) = spec_error_span(&spec, e) {
+                            d = d.with_span(span);
+                        }
+                        diagnostics.push(d);
+                    }
                     Err(SpecFailure::Invalid(errs))
                 }
                 Ok(()) => {
@@ -162,11 +168,10 @@ fn parse_error_diag(e: &ParseError) -> Diagnostic {
     Diagnostic::new(E0001, e.message.clone()).with_span(Span::point(e.pos))
 }
 
-/// The E0002 finding for a structural validation error, at its best
-/// source anchor.
-fn invalid_diag(spec: &Spec, e: &SpecError) -> Diagnostic {
+/// Best source anchor for a structural validation error.
+fn spec_error_span(spec: &Spec, e: &SpecError) -> Option<Span> {
     let page_span = |name: &str| spec.page(name).map(|p| p.span);
-    let span = match e {
+    match e {
         SpecError::DuplicateRelation(n) => spec.decl_span(n),
         SpecError::DuplicatePage(n) => {
             spec.pages.iter().rev().find(|p| p.name == *n).map(|p| p.span)
@@ -196,12 +201,8 @@ fn invalid_diag(spec: &Spec, e: &SpecError) -> Diagnostic {
         | SpecError::WrongRuleKind { page, .. }
         | SpecError::PrevOnNonInput { page, .. }
         | SpecError::UnknownPageRef { page, .. } => page_span(page),
-    };
-    let d = Diagnostic::new(E0002, e.to_string());
-    match span.filter(|s| !s.is_dummy()) {
-        Some(span) => d.with_span(span),
-        None => d,
     }
+    .filter(|s| !s.is_dummy())
 }
 
 fn sort_diagnostics(diags: &mut [Diagnostic]) {

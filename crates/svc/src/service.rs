@@ -352,8 +352,11 @@ impl VerifyService {
         let options = parse_options(request.get("options"))?;
         let property = request
             .get("property")
-            .map(|p| p.as_str().map(str::to_string).ok_or("\"property\" must be a string"))
-            .transpose()?;
+            .map(|p| p.as_str().map(str::to_string).ok_or("\"property\" must be a string"));
+        let property = match property {
+            Some(p) => Some(p?),
+            None => None,
+        };
 
         if let Some(suite_name) = request.get("suite") {
             let suite_name = suite_name.as_str().ok_or("\"suite\" must be a string")?;

@@ -214,9 +214,12 @@ fn load_spec(path: &str) -> Result<(wave::Spec, String), String> {
 
 fn cmd_check(rest: &[String]) -> ExitCode {
     let mut args = rest.to_vec();
-    let Some(property_text) = take_value(&mut args, "--property") else {
-        eprintln!("check needs --property \"<LTL-FO>\"");
-        return ExitCode::from(2);
+    let property_text = match take_value(&mut args, "--property") {
+        Some(p) => p,
+        None => {
+            eprintln!("check needs --property \"<LTL-FO>\"");
+            return ExitCode::from(2);
+        }
     };
     let mut options = VerifyOptions::default();
     if let Some(n) = take_value(&mut args, "--max-steps") {
@@ -374,9 +377,10 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // one front end: its lint findings go to stderr in human mode and into
-    // the --json record, and never block verification (even error-level
-    // findings surface a clearer message here than the verifier's)
+    // lint pre-pass: static findings over the spec and property, on
+    // stderr in human mode and embedded in the --json record; never
+    // blocks verification (even error-level findings, e.g. an undeclared
+    // relation, surface a clearer message here than the verifier's)
     let lint_req = wave_lint::LintRequest::with_property(path.clone(), src, property_text.clone());
     let wave_lint::FrontEnd { mut properties, spec, diagnostics: lint_diags } =
         wave_lint::FrontEnd::new(&lint_req);
