@@ -40,21 +40,22 @@ use crate::ndfs::SearchLimits;
 use crate::profile::SearchProfile;
 use crate::store::StateStore;
 use crate::verifier::{
-    PreparedCheck, Stats, Verdict, Verification, Verifier, VerifyError, VerifyOptions,
+    on_search_thread, PreparedCheck, Stats, Verdict, Verification, Verifier, VerifyError,
+    VerifyOptions,
 };
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use wave_ltl::Property;
-use wave_obs::{NoopTracer, SearchTracer};
+use wave_obs::Observer;
 use wave_store::{fnv1a, ByteReader, ByteWriter};
 
 /// Name of the checkpoint file inside the checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "wave.ckpt";
 
 const MAGIC: u32 = 0x5743_4B50; // "WCKP"
-const VERSION: u32 = 2; // v2: memo/join-build profile counters in stats
+const VERSION: u32 = 3; // v3: every `SearchProfile::FIELDS` counter in stats
 
 /// Where and how often to checkpoint.
 #[derive(Clone, Debug)]
@@ -130,76 +131,26 @@ fn write_stats(w: &mut ByteWriter, stats: &Stats) {
     w.u64(stats.configs);
     w.u64(stats.cores);
     w.u64(stats.assignments);
-    let p = &stats.profile;
-    for v in [
-        p.canon_ns,
-        p.intern_ns,
-        p.expand_ns,
-        p.eval_ns,
-        p.visit_ns,
-        p.intern_hits,
-        p.intern_misses,
-        p.steps_leased,
-        p.steps_refunded,
-        p.spill_pairs,
-        p.spill_segments,
-        p.spill_compactions,
-        p.bloom_skips,
-        p.cold_probes,
-        p.memo_hits,
-        p.memo_misses,
-        p.join_builds,
-    ] {
-        w.u64(v);
-    }
+    stats.profile.counters().for_each(|v| w.u64(v));
 }
 
 fn read_stats(r: &mut ByteReader<'_>) -> Option<Stats> {
-    let elapsed = Duration::from_nanos(r.u64()?);
-    let max_run_len = r.u64()? as usize;
-    let max_trie = r.u64()? as usize;
-    let max_resident = r.u64()? as usize;
-    let max_spilled = r.u64()? as usize;
-    let configs = r.u64()?;
-    let cores = r.u64()?;
-    let assignments = r.u64()?;
-    // Slice counters are stamped per *check* after the unit merge, never
-    // in per-unit stats, so they are not part of the checkpoint format.
-    let mut p = [0u64; 17];
-    for v in &mut p {
-        *v = r.u64()?;
-    }
-    Some(Stats {
+    let mut stats = Stats {
+        elapsed: Duration::from_nanos(r.u64()?),
+        max_run_len: r.u64()? as usize,
+        max_trie: r.u64()? as usize,
+        max_resident: r.u64()? as usize,
+        max_spilled: r.u64()? as usize,
+        configs: r.u64()?,
+        cores: r.u64()?,
+        assignments: r.u64()?,
+        profile: SearchProfile::default(),
         queries: Vec::new(),
-        elapsed,
-        max_run_len,
-        max_trie,
-        max_resident,
-        max_spilled,
-        configs,
-        cores,
-        assignments,
-        profile: SearchProfile {
-            canon_ns: p[0],
-            intern_ns: p[1],
-            expand_ns: p[2],
-            eval_ns: p[3],
-            visit_ns: p[4],
-            intern_hits: p[5],
-            intern_misses: p[6],
-            steps_leased: p[7],
-            steps_refunded: p[8],
-            spill_pairs: p[9],
-            spill_segments: p[10],
-            spill_compactions: p[11],
-            bloom_skips: p[12],
-            cold_probes: p[13],
-            memo_hits: p[14],
-            memo_misses: p[15],
-            join_builds: p[16],
-            ..Default::default()
-        },
-    })
+    };
+    for slot in stats.profile.counters_mut() {
+        *slot = r.u64()?;
+    }
+    Some(stats)
 }
 
 /// Parse and validate a checkpoint file; `None` means "no usable
@@ -299,18 +250,19 @@ impl Drive<'_> {
     }
 }
 
-/// Scan one unit in checkpoint-sized chunks over a persistent `store`,
-/// starting at core `first_core`. Returns the unit's search outcome, or
-/// `None` when the test hook interrupted the run mid-unit.
-fn drive_unit<T: SearchTracer>(
+/// Scan one unit in checkpoint-sized chunks over one persistent store
+/// (loaded from the checkpoint's `arena` payload when resuming
+/// mid-unit), starting at core `first_core`. Returns the unit's search
+/// outcome, or `None` when the test hook interrupted the run mid-unit.
+fn drive_unit<O: Observer>(
     prepared: &PreparedCheck<'_>,
     unit: usize,
     first_core: u64,
     arena: Option<&[u8]>,
-    store: &mut StateStore,
     drive: &mut Drive<'_>,
-    tracer: &mut T,
+    obs: &mut O,
 ) -> Result<Option<crate::ndfs::SearchResult>, VerifyError> {
+    let mut store = prepared.new_store()?;
     if let Some(blob) = arena {
         if !store.load_state(&mut ByteReader::new(blob)) {
             // the checksum passed but the arena does not decode: an
@@ -324,14 +276,8 @@ fn drive_unit<T: SearchTracer>(
     let mut next = first_core;
     while next < total {
         let end = next.saturating_add(every - drive.cores_since_ckpt).min(total);
-        let outcome = prepared.run_unit_in(
-            unit,
-            Some(next..end),
-            &drive.limits,
-            store,
-            tracer,
-            &mut wave_obs::NoopSpans,
-        )?;
+        let outcome =
+            prepared.run_unit_in(unit, Some(next..end), &drive.limits, &mut store, obs)?;
         drive.stats.merge(&outcome.stats);
         match outcome.result {
             crate::ndfs::SearchResult::Clean => {}
@@ -340,7 +286,7 @@ fn drive_unit<T: SearchTracer>(
         drive.cores_since_ckpt += end - next;
         next = end;
         if next < total && drive.cores_since_ckpt >= every {
-            drive.write(unit, next, Some(store))?;
+            drive.write(unit, next, Some(&store))?;
             if drive.interrupted {
                 return Ok(None);
             }
@@ -350,47 +296,45 @@ fn drive_unit<T: SearchTracer>(
 }
 
 /// Run `property` against `verifier` with checkpoint/resume under
-/// `config`, resuming from an existing matching checkpoint if present.
-/// See the module docs for the resume invariant.
+/// `config`: the unobserved wrapper of
+/// [`PreparedCheck::check_checkpointed`].
 pub fn check_checkpointed(
     verifier: &Verifier,
     property: &Property,
     config: &CheckpointConfig,
 ) -> Result<CheckpointOutcome, VerifyError> {
-    check_checkpointed_traced(verifier, property, config, &mut NoopTracer)
+    on_search_thread(|| verifier.prepare(property)?.check_checkpointed(property, config, &mut ()))
 }
 
-/// [`check_checkpointed`] with a tracer attached.
-pub fn check_checkpointed_traced<T: SearchTracer + Send>(
-    verifier: &Verifier,
-    property: &Property,
-    config: &CheckpointConfig,
-    tracer: &mut T,
-) -> Result<CheckpointOutcome, VerifyError> {
-    // same dedicated big-stack search thread as `Verifier::check`
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("wave-search".into())
-            .stack_size(512 << 20)
-            .spawn_scoped(scope, || check_checkpointed_inner(verifier, property, config, tracer))
-            .expect("spawn search thread")
-            .join()
-            .expect("search thread panicked")
-    })
+impl PreparedCheck<'_> {
+    /// The checkpointed driver: [`PreparedCheck::check`] in core-range
+    /// chunks under `config`, resuming from an existing checkpoint for
+    /// this check's `property` (the one it was prepared from) if there
+    /// is one, with `obs` watching. A fresh run emits the same events
+    /// and span frames as `check`. See the module docs for the resume
+    /// invariant.
+    pub fn check_checkpointed<O: Observer + Send>(
+        &self,
+        property: &Property,
+        config: &CheckpointConfig,
+        obs: &mut O,
+    ) -> Result<CheckpointOutcome, VerifyError> {
+        on_search_thread(|| checkpointed(self, property, config, obs))
+    }
 }
 
-fn check_checkpointed_inner<T: SearchTracer>(
-    verifier: &Verifier,
+fn checkpointed<O: Observer>(
+    prepared: &PreparedCheck<'_>,
     property: &Property,
     config: &CheckpointConfig,
-    tracer: &mut T,
+    obs: &mut O,
 ) -> Result<CheckpointOutcome, VerifyError> {
-    let fp = fingerprint(verifier, property);
+    let fp = fingerprint(prepared.verifier, property);
     fs::create_dir_all(&config.dir).map_err(|e| VerifyError::Checkpoint(e.to_string()))?;
     let ckpt = load_checkpoint(&config.path(), fp);
 
-    let started = Instant::now();
-    let options = verifier.options();
+    let started = prepared.started;
+    let options = prepared.verifier.options();
     let (first_unit, first_core, prior_stats, pool_spent, arena, prior_elapsed) = match &ckpt {
         Some(c) => (
             c.unit as usize,
@@ -403,7 +347,6 @@ fn check_checkpointed_inner<T: SearchTracer>(
         None => (0, 0, Stats::default(), 0, None, Duration::ZERO),
     };
 
-    let prepared = verifier.prepare(property)?;
     let mut drive = Drive {
         config,
         fp,
@@ -426,23 +369,19 @@ fn check_checkpointed_inner<T: SearchTracer>(
         interrupted: false,
     };
 
+    let interrupted = |drive: &Drive<'_>| {
+        Ok(CheckpointOutcome::Interrupted { checkpoints_written: drive.checkpoints_written })
+    };
     let mut verdict = Verdict::Holds;
     for unit in first_unit..prepared.num_units() {
         let start_core = if unit == first_unit { first_core } else { 0 };
         let arena = (unit == first_unit).then_some(arena).flatten();
-        // one persistent store per unit, loaded from the checkpoint's
-        // arena payload when resuming mid-unit
-        let mut store =
-            StateStore::new(&options.state_store).map_err(|e| VerifyError::Store(e.to_string()))?;
-        let result =
-            drive_unit(&prepared, unit, start_core, arena, &mut store, &mut drive, tracer)?;
-        match result {
-            None => {
-                return Ok(CheckpointOutcome::Interrupted {
-                    checkpoints_written: drive.checkpoints_written,
-                })
-            }
-            Some(crate::ndfs::SearchResult::Clean) => {
+        let result = obs.framed("unit", unit as u64, |obs| {
+            drive_unit(prepared, unit, start_core, arena, &mut drive, obs)
+        })?;
+        match result.map(crate::ndfs::SearchResult::verdict) {
+            None => return interrupted(&drive),
+            Some(None) => {
                 // unit boundary: checkpoint if a full interval of cores
                 // has been scanned since the last one
                 if unit + 1 < prepared.num_units()
@@ -452,18 +391,12 @@ fn check_checkpointed_inner<T: SearchTracer>(
                     // fresh, so no store state is written (next_core 0)
                     drive.write(unit + 1, 0, None)?;
                     if drive.interrupted {
-                        return Ok(CheckpointOutcome::Interrupted {
-                            checkpoints_written: drive.checkpoints_written,
-                        });
+                        return interrupted(&drive);
                     }
                 }
             }
-            Some(crate::ndfs::SearchResult::Violation(ce)) => {
-                verdict = Verdict::Violated(ce);
-                break;
-            }
-            Some(crate::ndfs::SearchResult::Exhausted(b)) => {
-                verdict = Verdict::Unknown(b);
+            Some(Some(decided)) => {
+                verdict = decided;
                 break;
             }
         }
@@ -471,11 +404,7 @@ fn check_checkpointed_inner<T: SearchTracer>(
 
     let _ = fs::remove_file(config.path());
     drive.stats.elapsed = drive.elapsed();
-    Ok(CheckpointOutcome::Finished(Verification {
-        verdict,
-        stats: drive.stats,
-        complete: prepared.complete,
-    }))
+    Ok(CheckpointOutcome::Finished(prepared.settle(verdict, drive.stats)))
 }
 
 #[cfg(test)]
@@ -564,6 +493,52 @@ mod tests {
         assert!(v.verdict.holds(), "{:?}", v.verdict);
         assert_eq!(deterministic(&v.stats), deterministic(&baseline.stats));
         assert!(!cfg.path().exists(), "checkpoint removed on completion");
+    }
+
+    /// Collects the event stream with its timings zeroed, so that two
+    /// runs compare.
+    #[derive(Default)]
+    struct Events(Vec<wave_obs::TraceEvent>);
+
+    impl Observer for Events {
+        const EVENTS: bool = true;
+
+        fn event(&mut self, event: wave_obs::TraceEvent) {
+            self.0.push(match event {
+                wave_obs::TraceEvent::Expand { depth, succs, .. } => {
+                    wave_obs::TraceEvent::Expand { depth, succs, dur_ns: 0 }
+                }
+                other => other,
+            });
+        }
+    }
+
+    #[test]
+    fn fresh_checkpointed_run_is_observed_like_plain_check() {
+        let verifier = multiunit();
+        let property = parsed(PROP);
+        let observe = |checkpointed: bool| {
+            let prepared = verifier.prepare(&property).unwrap();
+            let mut obs = (Events::default(), wave_obs::SpanProfiler::new());
+            if checkpointed {
+                let tmp = TempDir::new();
+                let cfg = CheckpointConfig::new(&tmp.0, 4);
+                let outcome = prepared.check_checkpointed(&property, &cfg, &mut obs).unwrap();
+                assert!(matches!(outcome, CheckpointOutcome::Finished(_)));
+            } else {
+                prepared.check(&mut obs).unwrap();
+            }
+            let stacks: Vec<_> = obs.1.rows().into_iter().map(|r| (r.stack, r.calls)).collect();
+            (obs.0 .0, stacks)
+        };
+        let (plain_events, plain_stacks) = observe(false);
+        let (events, stacks) = observe(true);
+        assert!(plain_events
+            .iter()
+            .any(|e| matches!(e, wave_obs::TraceEvent::Core { unit: 2, .. })));
+        assert_eq!(events, plain_events, "the checkpointed driver emits the plain event stream");
+        assert!(plain_stacks.iter().any(|(stack, _)| stack.starts_with("unit:2;core:")));
+        assert_eq!(stacks, plain_stacks, "the checkpointed driver builds the plain span tree");
     }
 
     #[test]

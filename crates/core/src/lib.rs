@@ -53,10 +53,7 @@ pub mod visibility;
 
 pub use budget::{BudgetPool, StepLease, DEFAULT_BUDGET_CHUNK};
 pub use cancel::CancelToken;
-pub use checkpoint::{
-    check_checkpointed, check_checkpointed_traced, CheckpointConfig, CheckpointOutcome,
-    CHECKPOINT_FILE,
-};
+pub use checkpoint::{check_checkpointed, CheckpointConfig, CheckpointOutcome, CHECKPOINT_FILE};
 pub use config::{canonicalize, core_instance, no_facts, Facts, PseudoConfig, SharedFacts};
 pub use domain::{assignments, build_pools, Assignment, PagePool, ParamMode};
 pub use intern::{ConfigId, ConfigStore, FactsId, InternStats};
@@ -74,14 +71,15 @@ pub use universe::{
     MAX_UNIVERSE,
 };
 pub use verifier::{
-    PreparedCheck, Stats, UnitOutcome, Verdict, Verification, Verifier, VerifyError, VerifyOptions,
+    on_search_thread, PreparedCheck, Stats, UnitOutcome, Verdict, Verification, Verifier,
+    VerifyError, VerifyOptions,
 };
 pub use visibility::Visibility;
-// Re-exported so callers attaching a tracer don't need a direct wave-obs
-// dependency for the common types.
+// Re-exported so callers attaching an observer don't need a direct
+// wave-obs dependency for the common types.
 pub use wave_obs::{
-    FlightRecorder, JsonlTracer, NoopSpans, NoopTracer, SearchTracer, SpanProfiler, SpanRow,
-    SpanSink, Tee, TraceEvent, NO_INDEX, TRACE_SCHEMA_VERSION,
+    FlightRecorder, JsonlTracer, Observer, SpanProfiler, SpanRow, TraceEvent, NO_INDEX,
+    TRACE_SCHEMA_VERSION,
 };
 // Re-exported because `StateStore::tier_counters` returns it.
 pub use wave_store::TierCounters;

@@ -48,7 +48,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 use wave_ltl::Buchi;
-use wave_obs::{SearchTracer, SpanSink, TraceEvent, NO_INDEX};
+use wave_obs::{Observer, TraceEvent, NO_INDEX};
 use wave_spec::CompiledComponent;
 
 /// One step of a counterexample pseudorun.
@@ -132,20 +132,18 @@ enum Listed {
     Fresh(StepKey, Vec<PseudoConfig>),
 }
 
-/// The nested DFS engine for one core, generic over the tracer and the
-/// span profiler. With the default [`wave_obs::NoopTracer`] /
-/// [`wave_obs::NoopSpans`] every emission site is `if T::ENABLED { ... }`
-/// (resp. `P::ENABLED`) over a `const false`, so the observed and
-/// unobserved engines monomorphize to identical searches.
-pub struct Ndfs<'a, T: SearchTracer = wave_obs::NoopTracer, P: SpanSink = wave_obs::NoopSpans> {
+/// The nested DFS engine for one core, generic over its [`Observer`].
+/// Every emission site is `if O::EVENTS { ... }` (resp. `O::SPANS`), so
+/// under the quiet observer `()` both guards are a `const false` and the
+/// observed and unobserved engines monomorphize to identical searches.
+pub struct Ndfs<'a, O: Observer = ()> {
     pub ctx: &'a SearchCtx<'a>,
     pub buchi: &'a Buchi,
     /// Instantiated, compiled FO components, index-aligned with the
     /// propositions.
     pub components: &'a [CompiledComponent],
     pub store: &'a mut StateStore,
-    pub tracer: &'a mut T,
-    pub spans: &'a mut P,
+    pub obs: &'a mut O,
     pub stats: SearchStats,
     /// The shared budget pool and the cancellation token.
     pub limits: SearchLimits,
@@ -176,15 +174,14 @@ pub enum SearchResult {
     Exhausted(Budget),
 }
 
-impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
+impl<'a, O: Observer> Ndfs<'a, O> {
     /// New engine over a store whose visited set is fresh (or cleared).
     pub fn new(
         ctx: &'a SearchCtx<'a>,
         buchi: &'a Buchi,
         components: &'a [CompiledComponent],
         store: &'a mut StateStore,
-        tracer: &'a mut T,
-        spans: &'a mut P,
+        obs: &'a mut O,
         limits: SearchLimits,
     ) -> Self {
         let lease = limits
@@ -197,8 +194,7 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
             buchi,
             components,
             store,
-            tracer,
-            spans,
+            obs,
             stats: SearchStats::default(),
             limits,
             lease,
@@ -217,14 +213,14 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
     /// store's intern counters tell a hit from a fresh store).
     fn intern_all(&mut self, configs: &[PseudoConfig]) -> Vec<Succ> {
         let t0 = Instant::now();
-        let interned: Vec<Succ> = if T::ENABLED {
+        let interned: Vec<Succ> = if O::EVENTS {
             configs
                 .iter()
                 .map(|s| {
                     let hits0 = self.store.intern_counters().0;
                     let entry = self.store.intern(s);
                     let hit = self.store.intern_counters().0 > hits0;
-                    self.tracer.event(TraceEvent::Intern { hit });
+                    self.obs.event(TraceEvent::Intern { hit });
                     entry
                 })
                 .collect()
@@ -233,10 +229,10 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
         };
         let ns = t0.elapsed().as_nanos() as u64;
         self.stats.profile.intern_ns += ns;
-        if P::ENABLED {
+        if O::SPANS {
             // the already-measured duration, so the span tree's intern
             // total agrees with SearchProfile::intern_ns exactly
-            self.spans.leaf_ns("intern", NO_INDEX, configs.len() as u64, ns);
+            self.obs.leaf_ns("intern", NO_INDEX, configs.len() as u64, ns);
         }
         interned
     }
@@ -263,35 +259,33 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
     /// when `None`. The step (target page, new state, previous input)
     /// runs every time; the page expansion and its interning run only
     /// on the key's first sighting in this core. Either way the call is
-    /// one `expand` event and adds the list's length to `configs`.
+    /// one `expand` event and adds the list's length to `configs`. The
+    /// phase timer reads the clock outside the `expand` frame, so the
+    /// frame never outgrows the `expand_ns` it is charged against.
     fn successors(&mut self, ev: Option<&EvalState<'_>>) -> Result<SuccList, SuccError> {
-        if P::ENABLED {
-            self.spans.enter("expand", NO_INDEX);
-        }
         let t0 = Instant::now();
-        let step = match ev {
-            Some(ev) => self.ctx.step(ev, &mut self.stats.profile, &mut *self.spans),
-            None => Ok(self.ctx.start_step()),
-        };
-        let listed: Result<Listed, SuccError> = step.and_then(|step| match self.lists.get(&step) {
-            Some(list) => Ok(Listed::Shared(Rc::clone(list))),
-            None => self
-                .ctx
-                .expand_page(&step, &mut self.stats.profile, &mut *self.tracer, &mut *self.spans)
-                .map(|succs| Listed::Fresh(step, succs)),
+        let (ctx, lists, profile) = (self.ctx, &self.lists, &mut self.stats.profile);
+        let listed = self.obs.framed("expand", NO_INDEX, |obs| {
+            let step = match ev {
+                Some(ev) => ctx.step(ev, profile, obs)?,
+                None => ctx.start_step(),
+            };
+            match lists.get(&step) {
+                Some(list) => Ok(Listed::Shared(Rc::clone(list))),
+                None => {
+                    ctx.expand_page(&step, profile, obs).map(|succs| Listed::Fresh(step, succs))
+                }
+            }
         });
         let dur_ns = t0.elapsed().as_nanos() as u64;
-        if P::ENABLED {
-            self.spans.exit();
-        }
         let listed = listed?;
         self.stats.profile.expand_ns += dur_ns;
         let len = match &listed {
             Listed::Shared(list) => list.len(),
             Listed::Fresh(_, succs) => succs.len(),
         };
-        if T::ENABLED {
-            self.tracer.event(TraceEvent::Expand {
+        if O::EVENTS {
+            self.obs.event(TraceEvent::Expand {
                 depth: self.path.len() as u32,
                 succs: len as u32,
                 dur_ns,
@@ -313,11 +307,14 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
 
     /// Run the search from every start pseudoconfiguration over the core.
     /// Whatever part of the run's wall time the expand, intern and eval
-    /// timers did not claim is charged to `visit_ns` (one `visit` leaf
-    /// under the span profiler).
+    /// timers did not claim is charged to `visit_ns`. Under the span
+    /// profiler that residual is three leaves: the tiered store's
+    /// `spill` and `compact` I/O (timed inside the visited-set probes,
+    /// so inside the residual) and `visit`, the rest.
     pub fn run(mut self) -> Result<(SearchResult, SearchStats), SuccError> {
         let t0 = Instant::now();
         let timed0 = self.stats.profile.total_ns();
+        let io0 = if O::SPANS { self.store.spill_timers() } else { (0, 0) };
         let (hits0, misses0) = self.store.intern_counters();
         self.search()?;
         let (hits, misses) = self.store.intern_counters();
@@ -331,8 +328,15 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
         let run_ns = t0.elapsed().as_nanos() as u64;
         let visit_ns = run_ns.saturating_sub(self.stats.profile.total_ns() - timed0);
         self.stats.profile.visit_ns += visit_ns;
-        if P::ENABLED {
-            self.spans.leaf_ns("visit", NO_INDEX, 1, visit_ns);
+        if O::SPANS {
+            let io = self.store.spill_timers();
+            let (spill, compact) = (io.0 - io0.0, io.1 - io0.1);
+            self.obs.leaf_ns("visit", NO_INDEX, 1, visit_ns.saturating_sub(spill + compact));
+            for (label, ns) in [("spill", spill), ("compact", compact)] {
+                if ns > 0 {
+                    self.obs.leaf_ns(label, NO_INDEX, 1, ns);
+                }
+            }
         }
         let result = match (self.found, self.exhausted) {
             (Some(ce), _) => SearchResult::Violation(ce),
@@ -348,8 +352,8 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
         for &(id, ref c0) in starts.iter() {
             if !self.store.mark(VisitTable::key(id, self.buchi.initial), Phase::Stick) {
                 let assignment = self.expand(id, c0)?.0;
-                if T::ENABLED {
-                    self.tracer.event(TraceEvent::Phase { candy: false, depth: 0 });
+                if O::EVENTS {
+                    self.obs.event(TraceEvent::Phase { candy: false, depth: 0 });
                 }
                 self.path.push(TraceStep {
                     auto_state: self.buchi.initial,
@@ -396,8 +400,8 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
         }
         let ns = t0.elapsed().as_nanos() as u64;
         self.stats.profile.eval_ns += ns;
-        if P::ENABLED {
-            self.spans.leaf_ns("eval", NO_INDEX, 1, ns);
+        if O::SPANS {
+            self.obs.leaf_ns("eval", NO_INDEX, 1, ns);
         }
         Ok(assign)
     }
@@ -410,9 +414,9 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
         if let Some(cancel) = &self.limits.cancel {
             if cancel.is_cancelled() {
                 self.exhausted = Some(Budget::Cancelled);
-                if T::ENABLED {
+                if O::EVENTS {
                     let spent = self.stats.configs;
-                    self.tracer.event(TraceEvent::Budget { reason: "cancelled", spent, limit });
+                    self.obs.event(TraceEvent::Budget { reason: "cancelled", spent, limit });
                 }
                 return true;
             }
@@ -425,9 +429,9 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
             let delta = self.stats.configs - lease.charged();
             if delta > 0 && !lease.charge(delta) {
                 self.exhausted = Some(Budget::Steps(limit));
-                if T::ENABLED {
+                if O::EVENTS {
                     let spent = self.stats.configs;
-                    self.tracer.event(TraceEvent::Budget { reason: "steps", spent, limit });
+                    self.obs.event(TraceEvent::Budget { reason: "steps", spent, limit });
                 }
                 return true;
             }
@@ -436,9 +440,9 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
             // cheap coarse check: only probe the clock periodically
             if self.stats.expansions.is_multiple_of(256) && pool.deadline_exceeded() {
                 self.exhausted = Some(Budget::Time(pool.elapsed()));
-                if T::ENABLED {
+                if O::EVENTS {
                     let spent = self.stats.configs;
-                    self.tracer.event(TraceEvent::Budget { reason: "time", spent, limit });
+                    self.obs.event(TraceEvent::Budget { reason: "time", spent, limit });
                 }
                 return true;
             }
@@ -457,12 +461,8 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
         let succs = self.expand_top(id)?;
         let buchi = self.buchi;
         for t in buchi.successors(from, assign) {
-            if T::ENABLED {
-                self.tracer.event(TraceEvent::Transition {
-                    from: from as u32,
-                    to: t as u32,
-                    assign,
-                });
+            if O::EVENTS {
+                self.obs.event(TraceEvent::Transition { from: from as u32, to: t as u32, assign });
             }
             for &(ct_id, ref ct) in succs.iter() {
                 self.stats.expansions += 1;
@@ -483,8 +483,8 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
                     // candidate base of the candy: search for a cycle back
                     if !self.store.is_marked(key, Phase::Candy) {
                         let assignment = self.expand(ct_id, ct)?.0;
-                        if T::ENABLED {
-                            self.tracer.event(TraceEvent::Phase {
+                        if O::EVENTS {
+                            self.obs.event(TraceEvent::Phase {
                                 candy: true,
                                 depth: self.path.len() as u32,
                             });
@@ -517,12 +517,8 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
         let base = self.base_key.expect("candy has a base");
         let buchi = self.buchi;
         for t in buchi.successors(from, assign) {
-            if T::ENABLED {
-                self.tracer.event(TraceEvent::Transition {
-                    from: from as u32,
-                    to: t as u32,
-                    assign,
-                });
+            if O::EVENTS {
+                self.obs.event(TraceEvent::Transition { from: from as u32, to: t as u32, assign });
             }
             for &(ct_id, ref ct) in succs.iter() {
                 self.stats.expansions += 1;
@@ -533,8 +529,8 @@ impl<'a, T: SearchTracer, P: SpanSink> Ndfs<'a, T, P> {
                 if key == base {
                     // lollipop closed: the path is prefix + cycle; the core
                     // and parameter assignment are attached by the caller
-                    if T::ENABLED {
-                        self.tracer.event(TraceEvent::Cycle {
+                    if O::EVENTS {
+                        self.obs.event(TraceEvent::Cycle {
                             len: self.path.len() as u32,
                             cycle_start: self.base_index as u32,
                         });

@@ -24,102 +24,112 @@
 
 use std::time::Instant;
 
-/// Per-phase wall-time (nanoseconds) and interner counters for one
-/// search. Merging (`add`) sums every field.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SearchProfile {
+/// Declares [`SearchProfile`] from one list of counters, together with
+/// the list itself ([`SearchProfile::FIELDS`]) and the accessors every
+/// field-by-field consumer iterates — the merge, the cache and fleet
+/// JSON codec, the checkpoint layout — so a new counter is one line here.
+macro_rules! search_profile {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Per-phase wall-time (nanoseconds) and interner counters for one
+        /// search. Merging (`add`) sums every field.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct SearchProfile {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl SearchProfile {
+            /// Every counter's name, in declaration order.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            /// Every counter's value, in [`SearchProfile::FIELDS`] order.
+            pub fn counters(&self) -> impl Iterator<Item = u64> {
+                [$(self.$field),*].into_iter()
+            }
+
+            /// Every counter's slot, in [`SearchProfile::FIELDS`] order.
+            pub fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$(&mut self.$field),*].into_iter()
+            }
+        }
+    };
+}
+
+search_profile! {
     /// Canonicalizing (sort + dedup) successor fact lists, inside `succP`.
-    pub canon_ns: u64,
+    canon_ns,
     /// Interning configurations into the hash-consing arena
     /// ([`crate::ConfigStore`]).
-    pub intern_ns: u64,
+    intern_ns,
     /// `succP` successor computation (includes `canon_ns`).
-    pub expand_ns: u64,
+    expand_ns,
     /// FO-component truth assignments.
-    pub eval_ns: u64,
+    eval_ns,
     /// The nested DFS's own work: each search's wall time minus its
     /// expand, intern and eval intervals (visited-set probes, the path,
     /// transition selection, expansion-cache lookups).
-    pub visit_ns: u64,
+    visit_ns,
     /// Configurations that interned to an already-stored id.
-    pub intern_hits: u64,
+    intern_hits,
     /// Configurations stored for the first time.
-    pub intern_misses: u64,
+    intern_misses,
     /// Steps granted by the shared [`crate::budget::BudgetPool`] to this
     /// search's leases (see the lease-chunk protocol there). The split
     /// between leases depends on the chunk size and, under the parallel
     /// scheduler, on worker timing — so these two counters are reported
     /// for budget accounting but are *not* part of the deterministic
     /// record output.
-    pub steps_leased: u64,
+    steps_leased,
     /// Granted steps returned unspent when the leases were released.
     /// `steps_leased - steps_refunded` equals the steps actually charged.
-    pub steps_refunded: u64,
+    steps_refunded,
     /// Visited pairs written to spill segments by the tiered store
     /// (zero under the in-memory backends). Deterministic for a given
     /// sequential search; under the parallel scheduler the per-unit
     /// split varies with the split factor, like the interner counters.
-    pub spill_pairs: u64,
+    spill_pairs,
     /// Spill segments written (compaction outputs included).
-    pub spill_segments: u64,
+    spill_segments,
     /// Cold-tier merge compactions run.
-    pub spill_compactions: u64,
+    spill_compactions,
     /// Visited-set probes the Bloom front answered without touching
     /// any tier ("definitely fresh").
-    pub bloom_skips: u64,
+    bloom_skips,
     /// Visited-set probes that had to search the on-disk cold tier.
-    pub cold_probes: u64,
+    cold_probes,
     /// Rule/target evaluations answered from the delta-driven query memo
     /// without re-executing the plan (see [`crate::memo::QueryEngine`]).
     /// Like the interner counters, the per-unit split under the parallel
     /// scheduler depends on worker timing, so these are reported but not
     /// part of the deterministic record output.
-    pub memo_hits: u64,
+    memo_hits,
     /// Memoized rule/target evaluations that had to execute the plan.
-    pub memo_misses: u64,
+    memo_misses,
     /// Hash tables built by lowered hash-join operators (zero under
     /// `--naive-joins`, which keeps every join nested-loop).
-    pub join_builds: u64,
+    join_builds,
     /// Rules (targets included) the wave-flow slice removed from the
     /// search (dead guards + unreachable pages). Stamped once per check
-    /// from the verifier's [`crate::SliceInfo`] after the unit merge —
-    /// per-unit profiles carry zero. Deterministic per check, but it
+    /// from the verifier's [`crate::SliceInfo`] by
+    /// [`crate::PreparedCheck::settle`] — per-unit profiles carry zero. Deterministic per check, but it
     /// differs between `--no-slice` (always zero) and the default run
     /// *by design*, so equivalence comparisons must exclude it (like
     /// `memo_hits`).
-    pub slice_rules_removed: u64,
+    slice_rules_removed,
     /// Relations statically proven always-empty (memo-mask narrowing
     /// set). Stamped like `slice_rules_removed`.
-    pub slice_relations_removed: u64,
+    slice_relations_removed,
     /// Rules whose guard the flow analysis refuted outright (the W0601
     /// set; a subset of `slice_rules_removed`). Stamped like
     /// `slice_rules_removed`.
-    pub flow_dead_rules: u64,
+    flow_dead_rules,
 }
 
 impl SearchProfile {
     /// Fold another profile into this one (all counters add).
     pub fn add(&mut self, other: &SearchProfile) {
-        self.canon_ns += other.canon_ns;
-        self.intern_ns += other.intern_ns;
-        self.expand_ns += other.expand_ns;
-        self.eval_ns += other.eval_ns;
-        self.visit_ns += other.visit_ns;
-        self.intern_hits += other.intern_hits;
-        self.intern_misses += other.intern_misses;
-        self.steps_leased += other.steps_leased;
-        self.steps_refunded += other.steps_refunded;
-        self.spill_pairs += other.spill_pairs;
-        self.spill_segments += other.spill_segments;
-        self.spill_compactions += other.spill_compactions;
-        self.bloom_skips += other.bloom_skips;
-        self.cold_probes += other.cold_probes;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-        self.join_builds += other.join_builds;
-        self.slice_rules_removed += other.slice_rules_removed;
-        self.slice_relations_removed += other.slice_relations_removed;
-        self.flow_dead_rules += other.flow_dead_rules;
+        for (slot, v) in self.counters_mut().zip(other.counters()) {
+            *slot += v;
+        }
     }
 
     /// True when every counter is zero (e.g. a cache-hit record).
@@ -207,6 +217,21 @@ mod tests {
         assert_eq!(p.intern_hit_rate(), Some(0.75));
         assert_eq!(p.pct(p.expand_ns), Some(50.0));
         assert_eq!(p.pct(p.canon_ns), Some(5.0));
+    }
+
+    #[test]
+    fn the_field_list_names_every_counter_in_order() {
+        let mut p = SearchProfile::default();
+        for (v, slot) in (1..).zip(p.counters_mut()) {
+            *slot = v;
+        }
+        assert_eq!(SearchProfile::FIELDS.len(), p.counters().count());
+        assert_eq!(SearchProfile::FIELDS[0], "canon_ns");
+        assert_eq!(p.canon_ns, 1);
+        assert_eq!(SearchProfile::FIELDS[4], "visit_ns");
+        assert_eq!(p.visit_ns, 5);
+        assert_eq!(SearchProfile::FIELDS.last(), Some(&"flow_dead_rules"));
+        assert_eq!(p.flow_dead_rules, SearchProfile::FIELDS.len() as u64);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub enum ReplayError {
     CycleDoesNotClose,
     CycleNotAccepting,
     Succ(SuccError),
+    Prepare(crate::VerifyError),
 }
 
 impl fmt::Display for ReplayError {
@@ -67,6 +68,7 @@ impl fmt::Display for ReplayError {
                 write!(f, "the cycle visits no accepting automaton state")
             }
             ReplayError::Succ(e) => write!(f, "replay failed to expand: {e}"),
+            ReplayError::Prepare(e) => write!(f, "cannot prepare the property: {e}"),
         }
     }
 }
@@ -97,12 +99,10 @@ pub fn replay(
         });
     }
 
-    // (1) start configuration (replay is not profiled or traced —
-    // scratch profile, no-op tracer)
+    // (1) start configuration (replay is not observed: scratch profile,
+    // quiet observer)
     let mut prof = crate::profile::SearchProfile::default();
-    let mut tracer = wave_obs::NoopTracer;
-    let mut spans = wave_obs::NoopSpans;
-    let starts = ctx.initial_configs(&mut prof, &mut tracer, &mut spans)?;
+    let starts = ctx.initial_configs(&mut prof, &mut ())?;
     if !starts.contains(&ce.steps[0].config) {
         return Err(ReplayError::NotAStartConfig);
     }
@@ -122,7 +122,7 @@ pub fn replay(
         }
         if i + 1 < ce.steps.len() {
             let next = &ce.steps[i + 1];
-            let succs = ctx.successors(&step.config, &mut prof, &mut tracer, &mut spans)?;
+            let succs = ctx.successors(&step.config, &mut prof, &mut ())?;
             if !succs.contains(&next.config) {
                 return Err(ReplayError::NotASuccessor { step: i + 1 });
             }
@@ -135,7 +135,7 @@ pub fn replay(
     // (4) the cycle closes: the last step can step back to cycle_start
     let last = ce.steps.last().expect("nonempty");
     let back = &ce.steps[ce.cycle_start];
-    let succs = ctx.successors(&last.config, &mut prof, &mut tracer, &mut spans)?;
+    let succs = ctx.successors(&last.config, &mut prof, &mut ())?;
     let closes = succs.contains(&back.config)
         && buchi.successors(last.auto_state, last.assignment).any(|t| t == back.auto_state);
     if !closes {

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use wave_fol::{
     answers, eval, prev_shadow_name, Bindings, EvalCtx, EvalError, Formula, SchemaResolver,
 };
-use wave_obs::{SearchTracer, SpanSink, TraceEvent};
+use wave_obs::{Observer, TraceEvent};
 use wave_relalg::{Instance, Params, PreparedQuery, RelKind, Relation, Tuple, Value};
 use wave_spec::{
     CompiledComponent, CompiledRule, CompiledSpec, Dataflow, PageId, ReadProfile, RuleExec,
@@ -178,21 +178,14 @@ impl SearchCtx<'_> {
     /// `ev.inst()` materializes only on a miss (or for interpreted
     /// rules). Under a profiling run, the evaluation is wrapped in a
     /// `query:<qid>` span frame (both execution paths).
-    fn run_rule<P: SpanSink>(
+    fn run_rule<O: Observer>(
         &self,
         rule: &CompiledRule,
         ev: &EvalState<'_>,
         page_name: &str,
-        spans: &mut P,
+        obs: &mut O,
     ) -> Result<Vec<Tuple>, SuccError> {
-        if P::ENABLED {
-            spans.enter("query", u64::from(rule.reads.qid));
-        }
-        let out = self.run_rule_inner(rule, ev, page_name);
-        if P::ENABLED {
-            spans.exit();
-        }
-        out
+        obs.framed("query", u64::from(rule.reads.qid), |_| self.run_rule_inner(rule, ev, page_name))
     }
 
     fn run_rule_inner(
@@ -219,20 +212,15 @@ impl SearchCtx<'_> {
     }
 
     /// Evaluate a target condition (a sentence).
-    fn target_holds<P: SpanSink>(
+    fn target_holds<O: Observer>(
         &self,
         t: &wave_spec::CompiledTarget,
         ev: &EvalState<'_>,
-        spans: &mut P,
+        obs: &mut O,
     ) -> Result<bool, SuccError> {
-        if P::ENABLED {
-            spans.enter("query", u64::from(t.reads.qid));
-        }
-        let out = self.sentence_holds(&t.exec, t.reads, &t.condition, ev);
-        if P::ENABLED {
-            spans.exit();
-        }
-        out
+        obs.framed("query", u64::from(t.reads.qid), |_| {
+            self.sentence_holds(&t.exec, t.reads, &t.condition, ev)
+        })
     }
 
     /// Evaluate an instantiated property component at `ev`'s
@@ -281,28 +269,26 @@ impl SearchCtx<'_> {
 
     /// The start pseudoconfigurations over the context's core: home page,
     /// empty state and previous input, every extension and input choice.
-    /// `prof` collects the canonicalization share of the work; `tracer`
+    /// `prof` collects the canonicalization share of the work; `obs`
     /// receives one [`TraceEvent::Options`] per extension.
-    pub fn initial_configs<T: SearchTracer, P: SpanSink>(
+    pub fn initial_configs<O: Observer>(
         &self,
         prof: &mut SearchProfile,
-        tracer: &mut T,
-        spans: &mut P,
+        obs: &mut O,
     ) -> Result<Vec<PseudoConfig>, SuccError> {
-        self.expand_page(&self.start_step(), prof, tracer, spans)
+        self.expand_page(&self.start_step(), prof, obs)
     }
 
     /// The paper's `succP`. `prof` collects the canonicalization share of
     /// the work (the caller times the whole call as `expand_ns`).
-    pub fn successors<T: SearchTracer, P: SpanSink>(
+    pub fn successors<O: Observer>(
         &self,
         cfg: &PseudoConfig,
         prof: &mut SearchProfile,
-        tracer: &mut T,
-        spans: &mut P,
+        obs: &mut O,
     ) -> Result<Vec<PseudoConfig>, SuccError> {
-        let step = self.step(&EvalState::new(self, cfg), prof, spans)?;
-        self.expand_page(&step, prof, tracer, spans)
+        let step = self.step(&EvalState::new(self, cfg), prof, obs)?;
+        self.expand_page(&step, prof, obs)
     }
 
     /// The step key the start configurations expand from: the home page
@@ -314,11 +300,11 @@ impl SearchCtx<'_> {
     /// Steps 1–3 of `succP` at `ev`'s configuration: the target page, the
     /// updated state, and the previous input kept at the target page.
     /// [`SearchCtx::expand_page`] of the result is the successor list.
-    pub(crate) fn step<P: SpanSink>(
+    pub(crate) fn step<O: Observer>(
         &self,
         ev: &EvalState<'_>,
         prof: &mut SearchProfile,
-        spans: &mut P,
+        obs: &mut O,
     ) -> Result<StepKey, SuccError> {
         let cfg = ev.cfg;
         let page = self.spec.page(cfg.page);
@@ -326,7 +312,7 @@ impl SearchCtx<'_> {
         // 1) target page (statically dead conditions can never hold)
         let mut fired: Vec<PageId> = Vec::new();
         for t in &page.target_rules {
-            if self.slice.live(t.reads.qid) && self.target_holds(t, ev, spans)? {
+            if self.slice.live(t.reads.qid) && self.target_holds(t, ev, obs)? {
                 fired.push(t.target);
             }
         }
@@ -348,7 +334,7 @@ impl SearchCtx<'_> {
                 if !self.visibility.state_observable(rule.head) {
                     continue; // write-only state: nothing can read it
                 }
-                let tuples = self.run_rule(rule, ev, &page.name, spans)?;
+                let tuples = self.run_rule(rule, ev, &page.name, obs)?;
                 let sink = if rule.insert { &mut inserts } else { &mut deletes };
                 for t in tuples {
                     if self.over_c(&t) || !rule.insert {
@@ -378,7 +364,7 @@ impl SearchCtx<'_> {
                 {
                     continue;
                 }
-                for t in self.run_rule(rule, ev, &page.name, spans)? {
+                for t in self.run_rule(rule, ev, &page.name, obs)? {
                     if self.over_c(&t) {
                         state.insert((rule.head, t));
                     }
@@ -412,12 +398,11 @@ impl SearchCtx<'_> {
     /// extension, every input choice, with actions computed per choice.
     /// Reads nothing of the configuration the step came from, so equal
     /// keys give equal lists.
-    pub(crate) fn expand_page<T: SearchTracer, P: SpanSink>(
+    pub(crate) fn expand_page<O: Observer>(
         &self,
         step: &StepKey,
         prof: &mut SearchProfile,
-        tracer: &mut T,
-        spans: &mut P,
+        obs: &mut O,
     ) -> Result<Vec<PseudoConfig>, SuccError> {
         let page_id = step.page;
         let page = self.spec.page(page_id);
@@ -458,7 +443,7 @@ impl SearchCtx<'_> {
                             if rule.head != input || !self.slice.live(rule.reads.qid) {
                                 continue;
                             }
-                            for t in self.run_rule(rule, &ev, &page.name, spans)? {
+                            for t in self.run_rule(rule, &ev, &page.name, obs)? {
                                 if seen.insert(t.clone()) {
                                     opts.push(Some(t));
                                 }
@@ -488,11 +473,11 @@ impl SearchCtx<'_> {
                 choice_lists.push((input, opts));
             }
 
-            if T::ENABLED {
+            if O::EVENTS {
                 // the empty choice is an option too, so `choices` (the
                 // product of the per-input option counts) is exactly the
                 // number of successors this extension contributes
-                tracer.event(TraceEvent::Options {
+                obs.event(TraceEvent::Options {
                     page: page_id.index() as u32,
                     options: choice_lists.iter().map(|(_, o)| o.len() as u32 - 1).sum(),
                     choices: choice_lists.iter().map(|(_, o)| o.len() as u64).product(),
@@ -529,7 +514,7 @@ impl SearchCtx<'_> {
                     {
                         let ev2 = EvalState::new(self, &cfg);
                         for rule in visible_actions {
-                            for t in self.run_rule(rule, &ev2, &page.name, spans)? {
+                            for t in self.run_rule(rule, &ev2, &page.name, obs)? {
                                 if self.over_c(&t) {
                                     actions.insert((rule.head, t));
                                 }

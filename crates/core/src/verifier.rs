@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use wave_flow::FlowReport;
 use wave_fol::{check_input_bounded, constants as fo_constants, Formula};
 use wave_ltl::{extract, nnf, parse_property, Buchi, Property};
-use wave_obs::{NoopSpans, NoopTracer, SearchTracer, SpanSink, TraceEvent, NO_INDEX};
+use wave_obs::{Observer, TraceEvent};
 use wave_relalg::{SymbolTable, Value};
 use wave_spec::{
     analyze, CompileSpecError, CompiledComponent, CompiledSpec, Dataflow, Spec, TargetExec,
@@ -145,8 +145,8 @@ pub struct Stats {
     pub assignments: u64,
     /// Per-phase wall-time and interner counters of the searches.
     pub profile: SearchProfile,
-    /// Per-query cost attribution, populated only by profiled runs
-    /// ([`Verifier::check_profiled`]); empty otherwise. One entry per
+    /// Per-query cost attribution, populated only by runs whose observer
+    /// takes span frames ([`Observer::SPANS`]); empty otherwise. One entry per
     /// query id that executed at least once, sorted by qid after merge.
     pub queries: Vec<QueryCost>,
 }
@@ -198,6 +198,41 @@ impl Verdict {
     pub fn violated(&self) -> bool {
         matches!(self, Verdict::Violated(_))
     }
+}
+
+impl SearchResult {
+    /// The verdict this outcome decides, or `None` when the search came
+    /// out clean and the scan goes on to the next unit or core range.
+    pub fn verdict(self) -> Option<Verdict> {
+        match self {
+            SearchResult::Clean => None,
+            SearchResult::Violation(ce) => Some(Verdict::Violated(ce)),
+            SearchResult::Exhausted(b) => Some(Verdict::Unknown(b)),
+        }
+    }
+}
+
+/// Name of the threads [`on_search_thread`] runs searches on.
+const SEARCH_THREAD: &str = "wave-search";
+
+/// Run `f` on a search thread: the nested DFS recurses once per
+/// pseudorun step, so it needs a far larger stack than a default thread
+/// has. On a search thread already, `f` runs inline, so a caller can keep
+/// a whole check — prepare, search, replay — on one thread, and its
+/// allocations in one allocator arena.
+pub fn on_search_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    if std::thread::current().name() == Some(SEARCH_THREAD) {
+        return f();
+    }
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name(SEARCH_THREAD.into())
+            .stack_size(512 << 20)
+            .spawn_scoped(scope, f)
+            .expect("spawn search thread")
+            .join()
+            .expect("search thread panicked")
+    })
 }
 
 /// Result of [`Verifier::check`].
@@ -345,107 +380,10 @@ impl Verifier {
     }
 
     /// Check a parsed property: returns `Holds`, `Violated` with a
-    /// counterexample pseudorun, or `Unknown` on budget exhaustion.
-    ///
-    /// The nested DFS recurses once per pseudorun step, so the search runs
-    /// on a dedicated thread with a large stack.
+    /// counterexample pseudorun, or `Unknown` on budget exhaustion. The
+    /// unobserved wrapper of [`PreparedCheck::check`].
     pub fn check(&self, property: &Property) -> Result<Verification, VerifyError> {
-        self.check_traced(property, &mut NoopTracer)
-    }
-
-    /// [`Verifier::check`] with a [`SearchTracer`] receiving the search's
-    /// event stream. `check` itself delegates here with the no-op tracer,
-    /// which monomorphizes every emission site away — verdicts, lassos and
-    /// stats are identical either way.
-    pub fn check_traced<T: SearchTracer + Send>(
-        &self,
-        property: &Property,
-        tracer: &mut T,
-    ) -> Result<Verification, VerifyError> {
-        self.check_instrumented(property, tracer, &mut NoopSpans)
-    }
-
-    /// [`Verifier::check`] with a [`SpanSink`] recording the hierarchical
-    /// span tree and per-query cost attribution. The search is identical
-    /// to the unprofiled one — verdicts, lassos and deterministic stats
-    /// are byte-for-byte the same; only `Stats::queries` and the span
-    /// tree are extra.
-    pub fn check_profiled<P: SpanSink + Send>(
-        &self,
-        property: &Property,
-        spans: &mut P,
-    ) -> Result<Verification, VerifyError> {
-        self.check_instrumented(property, &mut NoopTracer, spans)
-    }
-
-    /// The fully general entry point: both a tracer and a span sink. The
-    /// no-op implementations of either monomorphize their emission sites
-    /// away, so `check`, `check_traced` and `check_profiled` all compile
-    /// down to exactly the instrumentation they asked for.
-    pub fn check_instrumented<T: SearchTracer + Send, P: SpanSink + Send>(
-        &self,
-        property: &Property,
-        tracer: &mut T,
-        spans: &mut P,
-    ) -> Result<Verification, VerifyError> {
-        std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name("wave-search".into())
-                .stack_size(512 << 20)
-                .spawn_scoped(scope, || self.check_inner(property, tracer, spans))
-                .expect("spawn search thread")
-                .join()
-                .expect("search thread panicked")
-        })
-    }
-
-    fn check_inner<T: SearchTracer, P: SpanSink>(
-        &self,
-        property: &Property,
-        tracer: &mut T,
-        spans: &mut P,
-    ) -> Result<Verification, VerifyError> {
-        let start = Instant::now();
-        let prepared = self.prepare(property)?;
-
-        // one shared pool for the whole check: each unit draws on
-        // whatever the previous units left in it
-        let limits = SearchLimits {
-            pool: self.options.budget_pool(start),
-            cancel: self.options.cancel.clone(),
-        };
-        let mut stats = Stats::default();
-        let mut verdict = Verdict::Holds;
-        for unit in 0..prepared.num_units() {
-            if P::ENABLED {
-                spans.enter("unit", unit as u64);
-            }
-            let outcome = prepared.run_unit_instrumented(unit, None, &limits, tracer, spans);
-            if P::ENABLED {
-                spans.exit();
-            }
-            let outcome = outcome?;
-            stats.merge(&outcome.stats);
-            match outcome.result {
-                SearchResult::Clean => {}
-                SearchResult::Violation(ce) => {
-                    verdict = Verdict::Violated(ce);
-                    break;
-                }
-                SearchResult::Exhausted(b) => {
-                    verdict = Verdict::Unknown(b);
-                    break;
-                }
-            }
-        }
-
-        stats.elapsed = start.elapsed();
-        // stamped once per check (units leave these at zero, so the merge
-        // above cannot multiply-count them)
-        stats.profile.slice_rules_removed = self.slice.rules_removed;
-        stats.profile.slice_relations_removed = self.slice.relations_removed;
-        stats.profile.flow_dead_rules = self.slice.dead_rules;
-        Ok(Verification { verdict, stats, complete: prepared.complete })
+        on_search_thread(|| self.prepare(property)?.check(&mut ()))
     }
 
     /// Compile `property` against the spec and decompose the check into
@@ -456,6 +394,7 @@ impl Verifier {
     /// schedule that respects unit order when reducing outcomes yields the
     /// sequential verdict.
     pub fn prepare(&self, property: &Property) -> Result<PreparedCheck<'_>, VerifyError> {
+        let started = Instant::now();
         let spec = &self.spec;
 
         // step 1: φ_aux and the automaton for the NEGATED property
@@ -510,6 +449,7 @@ impl Verifier {
             visibility,
             slice: std::sync::Arc::clone(&self.slice),
             complete,
+            started,
         })
     }
 
@@ -535,60 +475,13 @@ impl Verifier {
     }
 
     /// Re-validate a counterexample returned by [`Verifier::check`] for
-    /// `property`: replays every step against the successor relation and
-    /// the property automaton (the Section 7 genuineness check). Returns
-    /// `Ok(())` when the pseudorun is a faithful violating lasso.
+    /// `property`: [`Verifier::prepare`] and [`PreparedCheck::replay`].
     pub fn validate_counterexample(
         &self,
         property: &Property,
         ce: &CounterExample,
     ) -> Result<(), crate::replay::ReplayError> {
-        let spec = &self.spec;
-        let body = property.body.group_fo();
-        let extraction = extract(&body);
-        let negated = nnf(&extraction.aux, true);
-        let buchi = Buchi::from_nnf(&negated, extraction.components.len());
-
-        let mut symbols = spec.symbols.clone();
-        let mut c_values: Vec<Value> = spec.constants.clone();
-        for f in &extraction.components {
-            for c in fo_constants(f) {
-                let v = symbols.constant(&c);
-                if !c_values.contains(&v) {
-                    c_values.push(v);
-                }
-            }
-        }
-        // re-intern the recorded parameter names (they were interned as
-        // `?i` constants during the original check)
-        for i in 0..property.univ_vars.len() {
-            symbols.constant(&format!("?{i}"));
-        }
-        let pools = build_pools(spec, &mut symbols);
-        let assignment = Assignment { values: ce.assignment.clone() };
-        let (ctx_c_values, components, flow) =
-            self.instantiate(&assignment, &c_values, &extraction.components, &symbols);
-        let visibility = Visibility::compute(spec, &extraction.components);
-        let mut sorted_c = ctx_c_values;
-        sorted_c.sort_unstable();
-        let base = core_instance(spec, &ce.core);
-        let engine =
-            QueryEngine::build(spec, &base, self.options.use_plans && !self.options.naive_joins);
-        let ctx = SearchCtx {
-            spec,
-            symbols: &symbols,
-            pools: &pools,
-            flow: &flow,
-            c_values: sorted_c,
-            base,
-            pruning: self.options.pruning,
-            heuristic2: self.options.heuristic2,
-            use_plans: self.options.use_plans,
-            visibility,
-            slice: std::sync::Arc::clone(&self.slice),
-            engine,
-        };
-        crate::replay::replay(&ctx, &buchi, &components, ce)
+        self.prepare(property).map_err(crate::replay::ReplayError::Prepare)?.replay(ce)
     }
 
     /// Render a counterexample for human consumption.
@@ -639,7 +532,7 @@ impl Verifier {
 /// a large unit across workers. All fields are immutable shared state —
 /// the type is `Sync` and units may run concurrently on scoped threads.
 pub struct PreparedCheck<'v> {
-    verifier: &'v Verifier,
+    pub(crate) verifier: &'v Verifier,
     buchi: Buchi,
     /// Uninstantiated FO components of the property.
     components: Vec<Formula>,
@@ -652,6 +545,9 @@ pub struct PreparedCheck<'v> {
     slice: std::sync::Arc<crate::slice::SliceInfo>,
     /// Both spec and property are input-bounded (Theorem 3.3 / 3.8).
     pub complete: bool,
+    /// When [`Verifier::prepare`] began: the sequential drivers time the
+    /// check, and start its wall-clock budget, from here.
+    pub(crate) started: Instant,
 }
 
 /// What one work unit produced: the search outcome over the scanned
@@ -669,11 +565,74 @@ impl PreparedCheck<'_> {
     }
 
     /// The slice driving this check's searches (identity under
-    /// `--no-slice`). External schedulers merging [`UnitOutcome`]s stamp
-    /// the per-check slice counters from here, exactly like
-    /// [`Verifier::check`] does — units leave them at zero.
+    /// `--no-slice`).
     pub fn slice(&self) -> &crate::slice::SliceInfo {
         &self.slice
+    }
+
+    /// The sequential driver: run the units in order, each in a `unit:N`
+    /// frame, stopping at the first violation or exhausted budget, with
+    /// `obs` watching (`()` is the quiet observer). The nested DFS
+    /// recurses once per pseudorun step, so the search runs on a
+    /// dedicated thread with a large stack.
+    pub fn check<O: Observer + Send>(&self, obs: &mut O) -> Result<Verification, VerifyError> {
+        on_search_thread(|| {
+            // one shared pool for the whole check: each unit draws on
+            // whatever the previous units left in it
+            let options = &self.verifier.options;
+            let limits = SearchLimits {
+                pool: options.budget_pool(self.started),
+                cancel: options.cancel.clone(),
+            };
+            let mut stats = Stats::default();
+            let mut verdict = Verdict::Holds;
+            for unit in 0..self.num_units() {
+                let outcome = obs.framed("unit", unit as u64, |obs| {
+                    self.run_unit_in(unit, None, &limits, &mut self.new_store()?, obs)
+                })?;
+                stats.merge(&outcome.stats);
+                if let Some(decided) = outcome.result.verdict() {
+                    verdict = decided;
+                    break;
+                }
+            }
+            stats.elapsed = self.started.elapsed();
+            Ok(self.settle(verdict, stats))
+        })
+    }
+
+    /// The check's [`Verification`] from the merged unit statistics:
+    /// stamps the per-check slice counters, which units leave at zero
+    /// (so no merge can multiply-count them). Every driver settles here.
+    pub fn settle(&self, verdict: Verdict, mut stats: Stats) -> Verification {
+        stats.profile.slice_rules_removed = self.slice.rules_removed;
+        stats.profile.slice_relations_removed = self.slice.relations_removed;
+        stats.profile.flow_dead_rules = self.slice.dead_rules;
+        Verification { verdict, stats, complete: self.complete }
+    }
+
+    /// Re-validate a counterexample this check produced: replay every
+    /// step against the successor relation and the property automaton
+    /// (the Section 7 genuineness check). `Ok(())` when the pseudorun is
+    /// a faithful violating lasso.
+    pub fn replay(&self, ce: &CounterExample) -> Result<(), crate::replay::ReplayError> {
+        let assignment = Assignment { values: ce.assignment.clone() };
+        let (c_values, components, flow) = self.verifier.instantiate(
+            &assignment,
+            &self.base_c_values,
+            &self.components,
+            &self.symbols,
+        );
+        let mut sorted_c = c_values;
+        sorted_c.sort_unstable();
+        let ctx = self.core_ctx(&flow, &sorted_c, &[], &ce.core, false);
+        crate::replay::replay(&ctx, &self.buchi, &components, ce)
+    }
+
+    /// A fresh state store of the configured kind, for one unit.
+    pub(crate) fn new_store(&self) -> Result<StateStore, VerifyError> {
+        StateStore::new(&self.verifier.options.state_store)
+            .map_err(|e| VerifyError::Store(e.to_string()))
     }
 
     /// The `C_∃` assignment a unit instantiates.
@@ -774,58 +733,31 @@ impl PreparedCheck<'_> {
     /// The scan is a pure function of `(unit, cores)` and the verifier
     /// options — two runs over the same range produce byte-identical
     /// outcomes, which is what lets a parallel schedule reproduce the
-    /// sequential verdict exactly.
+    /// sequential verdict exactly. The unobserved wrapper of
+    /// [`PreparedCheck::run_unit_in`], over a fresh store.
     pub fn run_unit(
         &self,
         unit: usize,
         cores: Option<Range<u64>>,
         limits: &SearchLimits,
     ) -> Result<UnitOutcome, VerifyError> {
-        self.run_unit_traced(unit, cores, limits, &mut NoopTracer)
-    }
-
-    /// [`PreparedCheck::run_unit`] with a tracer attached. The no-op
-    /// tracer monomorphizes to the untraced scan, so `run_unit` (and the
-    /// parallel scheduler built on it) pays nothing for this hook.
-    pub fn run_unit_traced<T: SearchTracer>(
-        &self,
-        unit: usize,
-        cores: Option<Range<u64>>,
-        limits: &SearchLimits,
-        tracer: &mut T,
-    ) -> Result<UnitOutcome, VerifyError> {
-        self.run_unit_instrumented(unit, cores, limits, tracer, &mut NoopSpans)
-    }
-
-    /// [`PreparedCheck::run_unit_traced`] with a [`SpanSink`] attached as
-    /// well. Both hooks monomorphize away when no-op.
-    pub fn run_unit_instrumented<T: SearchTracer, P: SpanSink>(
-        &self,
-        unit: usize,
-        cores: Option<Range<u64>>,
-        limits: &SearchLimits,
-        tracer: &mut T,
-        spans: &mut P,
-    ) -> Result<UnitOutcome, VerifyError> {
-        let mut store = StateStore::new(&self.verifier.options.state_store)
-            .map_err(|e| VerifyError::Store(e.to_string()))?;
-        self.run_unit_in(unit, cores, limits, &mut store, tracer, spans)
+        self.run_unit_in(unit, cores, limits, &mut self.new_store()?, &mut ())
     }
 
     /// The core scan over an explicit state store (one store per unit:
     /// the interned arena is shared by all its cores, the visited set is
-    /// cleared between cores). Public so drivers that must keep one
-    /// store alive across several core-range chunks of the same unit —
-    /// the checkpoint driver in [`crate::checkpoint`] — can run the
-    /// chunks without re-interning the arena from scratch each time.
-    pub fn run_unit_in<T: SearchTracer, P: SpanSink>(
+    /// cleared between cores), with `obs` watching; each core runs in a
+    /// `core:B` frame. Public so drivers that must keep one store alive
+    /// across several core-range chunks of the same unit — the
+    /// checkpoint driver in [`crate::checkpoint`] — can run the chunks
+    /// without re-interning the arena from scratch each time.
+    pub fn run_unit_in<O: Observer>(
         &self,
         unit: usize,
         cores: Option<Range<u64>>,
         limits: &SearchLimits,
         store: &mut StateStore,
-        tracer: &mut T,
-        spans: &mut P,
+        obs: &mut O,
     ) -> Result<UnitOutcome, VerifyError> {
         let start = Instant::now();
         let spec = &self.verifier.spec;
@@ -852,7 +784,6 @@ impl PreparedCheck<'_> {
         // the store may be shared across several calls (checkpoint
         // chunks), so tier counters fold as deltas from this baseline
         let mut tier_base = store.tier_counters();
-        let mut spill_ns_base = store.spill_timers();
 
         for bitmap in range {
             if limits.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
@@ -861,42 +792,16 @@ impl PreparedCheck<'_> {
             }
             let core = universe.decode(bitmap);
             stats.cores += 1;
-            if T::ENABLED {
-                tracer.event(TraceEvent::Core { unit: unit as u32, core: bitmap });
-            }
-            if P::ENABLED {
-                spans.enter("core", bitmap);
+            if O::EVENTS {
+                obs.event(TraceEvent::Core { unit: unit as u32, core: bitmap });
             }
             store.clear_visits();
-            let ctx = self.core_ctx(&flow, &sorted_c, &components, &core, P::ENABLED);
+            let ctx = self.core_ctx(&flow, &sorted_c, &components, &core, O::SPANS);
             // every core's search leases from the same shared pool, so
             // no per-core budget arithmetic is needed here
-            let engine = Ndfs::new(
-                &ctx,
-                &self.buchi,
-                &components,
-                store,
-                &mut *tracer,
-                &mut *spans,
-                limits.clone(),
-            );
-            let run_out = engine.run();
-            if P::ENABLED {
-                // attribute this core's spill/compaction I/O (measured
-                // inside the store, no extra clock reads per probe) as
-                // leaf frames under the core frame, then close it —
-                // balanced even on the error path below
-                let (spill_ns, compact_ns) = store.spill_timers();
-                if spill_ns > spill_ns_base.0 {
-                    spans.leaf_ns("spill", NO_INDEX, 1, spill_ns - spill_ns_base.0);
-                }
-                if compact_ns > spill_ns_base.1 {
-                    spans.leaf_ns("compact", NO_INDEX, 1, compact_ns - spill_ns_base.1);
-                }
-                spill_ns_base = (spill_ns, compact_ns);
-                spans.exit();
-            }
-            let (search_result, search_stats) = run_out?;
+            let (search_result, search_stats) = obs.framed("core", bitmap, |obs| {
+                Ndfs::new(&ctx, &self.buchi, &components, store, obs, limits.clone()).run()
+            })?;
             stats.max_run_len = stats.max_run_len.max(search_stats.max_run_len);
             stats.configs += search_stats.configs;
             stats.max_trie = stats.max_trie.max(store.max_visited());
@@ -910,8 +815,8 @@ impl PreparedCheck<'_> {
                 stats.profile.spill_compactions += tier.compactions - tier_base.compactions;
                 stats.profile.bloom_skips += tier.bloom_skips - tier_base.bloom_skips;
                 stats.profile.cold_probes += tier.cold_probes - tier_base.cold_probes;
-                if T::ENABLED && tier.spill_pairs > tier_base.spill_pairs {
-                    tracer.event(TraceEvent::Spill {
+                if O::EVENTS && tier.spill_pairs > tier_base.spill_pairs {
+                    obs.event(TraceEvent::Spill {
                         unit: unit as u32,
                         core: bitmap,
                         pairs: tier.spill_pairs - tier_base.spill_pairs,
@@ -919,8 +824,8 @@ impl PreparedCheck<'_> {
                         compactions: tier.compactions - tier_base.compactions,
                     });
                 }
-                if T::ENABLED && tier.compactions > tier_base.compactions {
-                    tracer.event(TraceEvent::Compact {
+                if O::EVENTS && tier.compactions > tier_base.compactions {
+                    obs.event(TraceEvent::Compact {
                         unit: unit as u32,
                         core: bitmap,
                         compactions: tier.compactions - tier_base.compactions,
@@ -933,10 +838,10 @@ impl PreparedCheck<'_> {
             stats.profile.memo_hits += ctx.engine.memo_hits();
             stats.profile.memo_misses += ctx.engine.memo_misses();
             stats.profile.join_builds += ctx.engine.join_builds();
-            if T::ENABLED {
+            if O::EVENTS {
                 let (hits, misses) = (ctx.engine.memo_hits(), ctx.engine.memo_misses());
                 if hits + misses > 0 {
-                    tracer.event(TraceEvent::Memo {
+                    obs.event(TraceEvent::Memo {
                         unit: unit as u32,
                         core: bitmap,
                         hits,
@@ -946,10 +851,10 @@ impl PreparedCheck<'_> {
                 }
                 let builds = ctx.engine.join_builds();
                 if builds > 0 {
-                    tracer.event(TraceEvent::JoinBuild { unit: unit as u32, core: bitmap, builds });
+                    obs.event(TraceEvent::JoinBuild { unit: unit as u32, core: bitmap, builds });
                 }
             }
-            if P::ENABLED {
+            if O::SPANS {
                 for q in ctx.engine.query_costs() {
                     match stats.queries.iter_mut().find(|c| c.qid == q.qid) {
                         Some(c) => c.add(&q),
@@ -1264,18 +1169,17 @@ mod tests {
             for bitmap in 0..universe.subset_count() {
                 let core = universe.decode(bitmap);
                 let ctx = prepared.core_ctx(&flow, &sorted_c, &components, &core, false);
-                let (mut prof, mut spans) = (SearchProfile::default(), NoopSpans);
+                let mut prof = SearchProfile::default();
                 let mut queue: VecDeque<PseudoConfig> =
-                    ctx.initial_configs(&mut prof, &mut NoopTracer, &mut spans).unwrap().into();
+                    ctx.initial_configs(&mut prof, &mut ()).unwrap().into();
                 let mut seen: HashSet<PseudoConfig> = HashSet::new();
                 let mut lists: HashMap<StepKey, Vec<PseudoConfig>> = HashMap::new();
                 while let Some(cfg) = queue.pop_front() {
                     if !seen.insert(cfg.clone()) {
                         continue;
                     }
-                    let succs =
-                        ctx.successors(&cfg, &mut prof, &mut NoopTracer, &mut spans).unwrap();
-                    let key = ctx.step(&EvalState::new(&ctx, &cfg), &mut prof, &mut spans).unwrap();
+                    let succs = ctx.successors(&cfg, &mut prof, &mut ()).unwrap();
+                    let key = ctx.step(&EvalState::new(&ctx, &cfg), &mut prof, &mut ()).unwrap();
                     match lists.get(&key) {
                         Some(first) => {
                             assert_eq!(first, &succs, "{property}: step key {key:?}");

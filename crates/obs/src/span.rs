@@ -1,20 +1,20 @@
 //! wave-prof: the hierarchical span profiler.
 //!
-//! The search engine is generic over a [`SpanSink`] exactly the way it
-//! is generic over `SearchTracer`: the default [`NoopSpans`] has
-//! `ENABLED = false` and every emission site is guarded by
-//! `if P::ENABLED`, so the unprofiled search monomorphizes to the code
-//! it had before the profiler existed (pinned by the byte-identical
-//! verdict equivalence suite in tests/observability.rs).
+//! [`SpanProfiler`] is the [`Observer`] that takes span frames (its
+//! `SPANS` flag is on, `EVENTS` off). Under the quiet observer `()`
+//! every span site in the search compiles out, so the unprofiled search
+//! monomorphizes to the code it had before the profiler existed (pinned
+//! by the byte-identical verdict equivalence suite in
+//! tests/observability.rs).
 //!
-//! [`SpanProfiler`] aggregates frames into a call tree rather than
-//! recording every entry/exit: each distinct stack of
-//! `(label, index)` frames is one node carrying call and nanosecond
-//! totals. Two emission styles feed it:
+//! The profiler aggregates frames into a call tree rather than
+//! recording every entry/exit: each distinct stack of `(label, index)`
+//! frames is one node carrying call and nanosecond totals. Two emission
+//! styles feed it:
 //!
-//! * [`SpanSink::enter`]/[`SpanSink::exit`] open a real frame that can
+//! * [`Observer::enter`]/[`Observer::exit`] open a real frame that can
 //!   hold children — used for `unit`/`core`/`expand`/`query` scopes.
-//! * [`SpanSink::leaf_ns`] attaches an already-measured duration as a
+//! * [`Observer::leaf_ns`] attaches an already-measured duration as a
 //!   childless frame — used where the engine has its own timer (the
 //!   `SearchProfile` phase counters), so the profiler's number for
 //!   those phases agrees with the flat profile *exactly* instead of
@@ -25,49 +25,11 @@
 //! in the `frame;frame;frame value` format consumed by
 //! inferno / flamegraph.pl, with each node's *self* time as the value.
 
+use crate::Observer;
 use std::time::Instant;
 
 /// Frame index meaning "no index": the frame renders as its bare label.
 pub const NO_INDEX: u64 = u64::MAX;
-
-/// A sink for hierarchical profiling frames. The engine is generic over
-/// this trait and guards every emission with `if P::ENABLED`, so
-/// implementations with `ENABLED = false` cost literally nothing.
-pub trait SpanSink {
-    /// When `false`, emission sites compile out entirely.
-    const ENABLED: bool = true;
-
-    /// Open a frame under the currently open frame (or the root).
-    /// Frames with the same `(label, index)` under the same parent
-    /// aggregate into one node. Called only when [`SpanSink::ENABLED`].
-    fn enter(&mut self, label: &'static str, index: u64);
-
-    /// Close the innermost open frame, folding its wall time into the
-    /// node. Must pair with the matching [`SpanSink::enter`].
-    fn exit(&mut self);
-
-    /// Attach `ns` (over `calls` calls) to a childless frame under the
-    /// currently open frame, without opening a scope. For durations the
-    /// caller already measured.
-    fn leaf_ns(&mut self, label: &'static str, index: u64, calls: u64, ns: u64);
-}
-
-/// The zero-cost default: no frames, no code.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSpans;
-
-impl SpanSink for NoopSpans {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn enter(&mut self, _label: &'static str, _index: u64) {}
-
-    #[inline(always)]
-    fn exit(&mut self) {}
-
-    #[inline(always)]
-    fn leaf_ns(&mut self, _label: &'static str, _index: u64, _calls: u64, _ns: u64) {}
-}
 
 /// One aggregated call-tree node.
 #[derive(Clone, Debug)]
@@ -226,7 +188,9 @@ impl SpanProfiler {
     }
 }
 
-impl SpanSink for SpanProfiler {
+impl Observer for SpanProfiler {
+    const SPANS: bool = true;
+
     fn enter(&mut self, label: &'static str, index: u64) {
         let id = self.child_of(self.top(), label, index);
         self.stack.push((id, Instant::now()));
@@ -255,12 +219,6 @@ impl SpanSink for SpanProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_is_disabled() {
-        const { assert!(!NoopSpans::ENABLED) };
-        const { assert!(SpanProfiler::ENABLED) };
-    }
 
     #[test]
     fn frames_aggregate_by_label_and_index() {

@@ -2,12 +2,12 @@
 //!
 //! The NDFS engine emits [`TraceEvent`]s at its key decision points —
 //! interning, `succP` expansion, Büchi-product transitions, phase
-//! changes, accepting cycles, budget exhaustion — through a
-//! [`SearchTracer`] it is *generic* over. The default [`NoopTracer`]
-//! has `ENABLED = false`; every emission site is guarded by
-//! `if T::ENABLED`, so the untraced search monomorphizes to exactly the
-//! code it had before tracing existed (verified by the byte-identical
-//! verdict/stats test in the workspace integration suite).
+//! changes, accepting cycles, budget exhaustion — to the
+//! [`Observer`] it is *generic* over. Every emission site is guarded by
+//! `if O::EVENTS`, so under the quiet observer `()` the untraced search
+//! monomorphizes to exactly the code it had before tracing existed
+//! (verified by the byte-identical verdict/stats test in the workspace
+//! integration suite).
 //!
 //! ## JSONL schema (version [`TRACE_SCHEMA_VERSION`])
 //!
@@ -34,6 +34,7 @@
 //! of streaming them — cheap enough to leave on for long searches, and
 //! dumped on timeout/budget-exhaustion/panic for postmortems.
 
+use crate::Observer;
 use std::io::{self, Write};
 use std::time::Instant;
 
@@ -185,29 +186,6 @@ impl TraceEvent {
     }
 }
 
-/// A sink for search events. The engine is generic over this trait and
-/// guards every emission with `if T::ENABLED`, so implementations with
-/// `ENABLED = false` cost literally nothing.
-pub trait SearchTracer {
-    /// When `false`, emission sites (including event construction)
-    /// compile out entirely.
-    const ENABLED: bool = true;
-
-    /// Receive one event. Called only when [`SearchTracer::ENABLED`].
-    fn event(&mut self, event: TraceEvent);
-}
-
-/// The zero-cost default: no events, no code.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTracer;
-
-impl SearchTracer for NoopTracer {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn event(&mut self, _event: TraceEvent) {}
-}
-
 /// Streams events as schema-versioned JSONL to any [`Write`] sink.
 /// Write errors are sticky: the first one is kept (see
 /// [`JsonlTracer::take_error`]) and later events are dropped.
@@ -241,7 +219,9 @@ impl<W: Write> JsonlTracer<W> {
     }
 }
 
-impl<W: Write> SearchTracer for JsonlTracer<W> {
+impl<W: Write> Observer for JsonlTracer<W> {
+    const EVENTS: bool = true;
+
     fn event(&mut self, event: TraceEvent) {
         if self.error.is_some() {
             return;
@@ -314,7 +294,9 @@ impl FlightRecorder {
     }
 }
 
-impl SearchTracer for FlightRecorder {
+impl Observer for FlightRecorder {
+    const EVENTS: bool = true;
+
     fn event(&mut self, event: TraceEvent) {
         let stamped = (self.start.elapsed().as_nanos() as u64, event);
         if self.ring.len() < self.capacity {
@@ -324,24 +306,6 @@ impl SearchTracer for FlightRecorder {
             self.head = (self.head + 1) % self.capacity;
         }
         self.total += 1;
-    }
-}
-
-/// Fan one event stream out to two tracers (e.g. a JSONL stream plus a
-/// flight recorder). Enabled when either side is.
-pub struct Tee<A: SearchTracer, B: SearchTracer>(pub A, pub B);
-
-impl<A: SearchTracer, B: SearchTracer> SearchTracer for Tee<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline]
-    fn event(&mut self, event: TraceEvent) {
-        if A::ENABLED {
-            self.0.event(event);
-        }
-        if B::ENABLED {
-            self.1.event(event);
-        }
     }
 }
 
@@ -435,17 +399,5 @@ mod tests {
         assert_eq!(rec.events().len(), 2, "exact fit does not wrap");
         assert_eq!(rec.total(), 2);
         assert!(!rec.dump().contains("dropped"));
-    }
-
-    #[test]
-    fn noop_is_disabled_and_tee_combines() {
-        const { assert!(!NoopTracer::ENABLED) };
-        const { assert!(FlightRecorder::ENABLED) };
-        const { assert!(<Tee<NoopTracer, FlightRecorder>>::ENABLED) };
-        const { assert!(!<Tee<NoopTracer, NoopTracer>>::ENABLED) };
-        let mut tee = Tee(FlightRecorder::new(4), FlightRecorder::new(4));
-        tee.event(TraceEvent::Budget { reason: "time", spent: 0, limit: 0 });
-        assert_eq!(tee.0.total(), 1);
-        assert_eq!(tee.1.total(), 1);
     }
 }

@@ -255,59 +255,21 @@ pub(crate) fn u64_from_json(v: &Json) -> Option<u64> {
     v.as_u64().or_else(|| v.as_str()?.parse().ok())
 }
 
-/// Encode a [`SearchProfile`] field-for-field (all counters fit f64 at
-/// realistic magnitudes; the fleet and the cache share this layout).
+/// Encode a [`SearchProfile`] field-for-field, keyed by
+/// [`SearchProfile::FIELDS`] (all counters fit f64 at realistic
+/// magnitudes; the fleet and the cache share this layout).
 pub(crate) fn profile_to_json(p: &SearchProfile) -> Json {
-    Json::obj([
-        ("canon_ns", Json::from(p.canon_ns)),
-        ("intern_ns", Json::from(p.intern_ns)),
-        ("expand_ns", Json::from(p.expand_ns)),
-        ("eval_ns", Json::from(p.eval_ns)),
-        ("visit_ns", Json::from(p.visit_ns)),
-        ("intern_hits", Json::from(p.intern_hits)),
-        ("intern_misses", Json::from(p.intern_misses)),
-        ("steps_leased", Json::from(p.steps_leased)),
-        ("steps_refunded", Json::from(p.steps_refunded)),
-        ("spill_pairs", Json::from(p.spill_pairs)),
-        ("spill_segments", Json::from(p.spill_segments)),
-        ("spill_compactions", Json::from(p.spill_compactions)),
-        ("bloom_skips", Json::from(p.bloom_skips)),
-        ("cold_probes", Json::from(p.cold_probes)),
-        ("memo_hits", Json::from(p.memo_hits)),
-        ("memo_misses", Json::from(p.memo_misses)),
-        ("join_builds", Json::from(p.join_builds)),
-        ("slice_rules_removed", Json::from(p.slice_rules_removed)),
-        ("slice_relations_removed", Json::from(p.slice_relations_removed)),
-        ("flow_dead_rules", Json::from(p.flow_dead_rules)),
-    ])
+    Json::obj(SearchProfile::FIELDS.iter().zip(p.counters()).map(|(&k, v)| (k, Json::from(v))))
 }
 
 /// Decode a profile object; absent fields read back zero, so entries
 /// written by older versions (pre-tiered-store, pre-query-engine) parse.
 pub(crate) fn profile_from_json(p: &Json) -> SearchProfile {
-    let ns = |field: &str| p.get(field).and_then(Json::as_u64).unwrap_or(0);
-    SearchProfile {
-        canon_ns: ns("canon_ns"),
-        intern_ns: ns("intern_ns"),
-        expand_ns: ns("expand_ns"),
-        eval_ns: ns("eval_ns"),
-        visit_ns: ns("visit_ns"),
-        intern_hits: ns("intern_hits"),
-        intern_misses: ns("intern_misses"),
-        steps_leased: ns("steps_leased"),
-        steps_refunded: ns("steps_refunded"),
-        spill_pairs: ns("spill_pairs"),
-        spill_segments: ns("spill_segments"),
-        spill_compactions: ns("spill_compactions"),
-        bloom_skips: ns("bloom_skips"),
-        cold_probes: ns("cold_probes"),
-        memo_hits: ns("memo_hits"),
-        memo_misses: ns("memo_misses"),
-        join_builds: ns("join_builds"),
-        slice_rules_removed: ns("slice_rules_removed"),
-        slice_relations_removed: ns("slice_relations_removed"),
-        flow_dead_rules: ns("flow_dead_rules"),
+    let mut profile = SearchProfile::default();
+    for (field, slot) in SearchProfile::FIELDS.iter().zip(profile.counters_mut()) {
+        *slot = p.get(field).and_then(Json::as_u64).unwrap_or(0);
     }
+    profile
 }
 
 /// Parse a stored budget: the structured object written by this version,

@@ -899,27 +899,6 @@ impl FleetDispatcher {
     }
 }
 
-/// Check one property through a fleet dispatcher. `spec_text` must be
-/// the canonical (`print_spec`) text of the verifier's spec.
-pub fn check_fleet(
-    dispatcher: &FleetDispatcher,
-    verifier: &Verifier,
-    spec_text: &str,
-    property_text: &str,
-    property: &Property,
-) -> Result<Verification, VerifyError> {
-    let prepared = verifier.prepare(property)?;
-    let source = CheckSource { spec: spec_text.to_string(), property: property_text.to_string() };
-    dispatcher
-        .run_checks(
-            verifier.options(),
-            std::slice::from_ref(&prepared),
-            std::slice::from_ref(&source),
-        )
-        .pop()
-        .expect("one check in, one verification out")
-}
-
 // ---------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------

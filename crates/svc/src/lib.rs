@@ -36,7 +36,7 @@ pub use cache::{
     fingerprint, CacheMetrics, CachedBudget, CachedResult, CachedVerdict, ResultCache,
 };
 pub use fleet::{
-    check_fleet, run_worker, CheckSource, FleetDispatcher, FleetOptions, WorkerConfig, WorkerReport,
+    run_worker, CheckSource, FleetDispatcher, FleetOptions, WorkerConfig, WorkerReport,
 };
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::SvcMetrics;

@@ -271,26 +271,14 @@ pub(crate) fn settle_checks(
                         }))
                         .unwrap_or_else(|p| Err(VerifyError::Panic(panic_message(p))))
                     };
-                    match outcome {
-                        Ok(o) => {
-                            stats.merge(&o.stats);
-                            match o.result {
-                                SearchResult::Clean => {
-                                    if let Some(left) = &mut leftover {
-                                        *left -= o.stats.configs;
-                                    }
-                                }
-                                SearchResult::Violation(ce) => {
-                                    verdict = Verdict::Violated(ce);
-                                    break;
-                                }
-                                SearchResult::Exhausted(b) => {
-                                    verdict = Verdict::Unknown(b);
-                                    break;
-                                }
-                            }
-                        }
-                        Err(e) => return Err(e),
+                    let o = outcome?;
+                    stats.merge(&o.stats);
+                    if let Some(decided) = o.result.verdict() {
+                        verdict = decided;
+                        break;
+                    }
+                    if let Some(left) = &mut leftover {
+                        *left -= o.stats.configs;
                     }
                 }
                 let done_at = if reran {
@@ -299,13 +287,7 @@ pub(crate) fn settle_checks(
                     state.done_at.unwrap_or_else(|| start.elapsed())
                 };
                 stats.elapsed = done_at;
-                // stamped once per check, like Verifier::check — the
-                // per-unit outcomes merged above carry zeros
-                let slice = check.slice();
-                stats.profile.slice_rules_removed = slice.rules_removed;
-                stats.profile.slice_relations_removed = slice.relations_removed;
-                stats.profile.flow_dead_rules = slice.dead_rules;
-                Ok(Verification { verdict, stats, complete: check.complete })
+                Ok(check.settle(verdict, stats))
             })
             .collect::<Vec<_>>()
     };

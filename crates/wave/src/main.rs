@@ -35,7 +35,9 @@ use wave::{parse_property, parse_spec, Verdict, Verifier, VerifyOptions};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
+        // on a search thread, so that the front end, the prepared check,
+        // the search and the replay share one thread and allocator arena
+        Some("check") => wave::core::on_search_thread(|| cmd_check(&args[1..])),
         Some("lint") => cmd_lint(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("automaton") => cmd_automaton(&args[1..]),
@@ -110,13 +112,17 @@ check options:
                           the dispatcher still finishes via local fallback
                           if no worker ever connects)
   --json                  print one JSON result record (batch format)
-  --trace-out <file>      stream a JSONL search trace (sequential only;
-                          summarize it with `wave trace summarize`)
+  --trace-out <file>      stream a JSONL search trace (summarize it with
+                          `wave trace summarize`)
   --profile-out <file>    run the hierarchical span profiler and write a
                           profile JSON (span tree, folded stacks, per-query
                           cost attribution); prints the top-10 attribution
-                          table; sequential only. Render a flamegraph with
+                          table. Render a flamegraph with
                           `wave prof flame <file> | flamegraph.pl`
+                          (--trace-out and --profile-out observe the
+                          sequential search, with or without
+                          --checkpoint-dir, alone or together; not --jobs
+                          or --fleet)
   --no-replay             skip counterexample re-validation
   --quiet                 print the verdict only
 
@@ -337,31 +343,15 @@ fn cmd_check(rest: &[String]) -> ExitCode {
         }
         None => 0,
     };
-    if fleet_addr.is_some()
-        && (jobs.is_some()
-            || trace_out.is_some()
-            || checkpoint_dir.is_some()
-            || profile_out.is_some())
-    {
+    let parallel = jobs.is_some() || fleet_addr.is_some();
+    if (jobs.is_some() && fleet_addr.is_some()) || (parallel && checkpoint_dir.is_some()) {
+        eprintln!("--jobs, --fleet and --checkpoint-dir each pick a driver; give at most one");
+        return ExitCode::from(2);
+    }
+    if parallel && (trace_out.is_some() || profile_out.is_some()) {
         eprintln!(
-            "--fleet runs the distributed scheduler; it does not combine \
-             with --jobs, --trace-out, --checkpoint-dir, or --profile-out"
-        );
-        return ExitCode::from(2);
-    }
-    if trace_out.is_some() && jobs.is_some() {
-        eprintln!("--trace-out traces the sequential search; it does not combine with --jobs");
-        return ExitCode::from(2);
-    }
-    if checkpoint_dir.is_some() && (jobs.is_some() || trace_out.is_some()) {
-        eprintln!("--checkpoint-dir drives the sequential search; it does not combine with --jobs or --trace-out");
-        return ExitCode::from(2);
-    }
-    if profile_out.is_some() && (jobs.is_some() || trace_out.is_some() || checkpoint_dir.is_some())
-    {
-        eprintln!(
-            "--profile-out profiles the sequential search; it does not combine \
-             with --jobs, --trace-out, or --checkpoint-dir"
+            "--trace-out and --profile-out observe the sequential search; they do not \
+             combine with --jobs or --fleet"
         );
         return ExitCode::from(2);
     }
@@ -413,32 +403,60 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut profiler = wave::core::SpanProfiler::new();
+    // one prepared check serves the driver, the profile's component
+    // labels and the counterexample replay
+    let prepared = match verifier.prepare(&property) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("verification failed: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut tracer = match &trace_out {
+        Some(out) => match std::fs::File::create(out) {
+            Ok(file) => Some((
+                wave::core::JsonlTracer::new(std::io::BufWriter::new(file)),
+                wave::core::FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
+            )),
+            Err(e) => {
+                eprintln!("verification failed: cannot create {out}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+        None => None,
+    };
+    let mut profiler = profile_out.as_ref().map(|_| wave::core::SpanProfiler::new());
     let run = if let Some(addr) = &fleet_addr {
-        run_fleet(addr, fleet_workers, &verifier, &spec_text, &property_text, &property)
+        run_fleet(addr, fleet_workers, &verifier, &prepared, &spec_text, &property_text)
+    } else if let Some(n) = jobs {
+        let popts = wave_svc::ParallelOptions::with_jobs(n);
+        let checks = std::slice::from_ref(&prepared);
+        let mut runs = wave_svc::run_prepared(verifier.options(), checks, &popts);
+        runs.pop().expect("one check in, one verification out").map_err(|e| e.to_string())
     } else {
-        match (&checkpoint_dir, &trace_out, jobs) {
-            (Some(dir), _, _) => {
-                let config = wave::core::CheckpointConfig::new(dir, checkpoint_every);
-                match wave::core::check_checkpointed(&verifier, &property, &config) {
-                    Ok(wave::core::CheckpointOutcome::Finished(v)) => Ok(v),
-                    Ok(wave::core::CheckpointOutcome::Interrupted { .. }) => {
-                        unreachable!("the interrupt hook is never armed from the CLI")
-                    }
-                    Err(e) => Err(e.to_string()),
+        // one observer from the two flags: a check with neither runs the
+        // quiet `()` monomorphization
+        let checkpoint =
+            checkpoint_dir.map(|dir| wave::core::CheckpointConfig::new(dir, checkpoint_every));
+        let checkpoint = checkpoint.as_ref();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            match (&mut tracer, &mut profiler) {
+                (None, None) => check_sequential(&prepared, &property, checkpoint, &mut ()),
+                (Some(t), None) => check_sequential(&prepared, &property, checkpoint, t),
+                (None, Some(p)) => check_sequential(&prepared, &property, checkpoint, p),
+                (Some(t), Some(p)) => {
+                    check_sequential(&prepared, &property, checkpoint, &mut (t, p))
                 }
             }
-            (None, Some(out), _) => run_traced(&verifier, &property, out),
-            (None, None, Some(n)) => wave_svc::check_parallel(
-                &verifier,
-                &property,
-                &wave_svc::ParallelOptions::with_jobs(n),
-            )
-            .map_err(|e| e.to_string()),
-            (None, None, None) if profile_out.is_some() => {
-                verifier.check_profiled(&property, &mut profiler).map_err(|e| e.to_string())
+        }));
+        match run {
+            Ok(result) => result,
+            Err(panic) => {
+                if let Some((_, recorder)) = &tracer {
+                    eprintln!("search panicked; flight recorder tail:\n{}", recorder.dump());
+                }
+                std::panic::resume_unwind(panic);
             }
-            (None, None, None) => verifier.check(&property).map_err(|e| e.to_string()),
         }
     };
     let v = match run {
@@ -448,26 +466,32 @@ fn cmd_check(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(out) = &profile_out {
-        let components = match verifier.prepare(&property) {
-            Ok(prepared) if prepared.num_units() > 0 => prepared.components(0),
-            _ => Vec::new(),
-        };
+    if let (Some(out), Some((jsonl, recorder))) = (&trace_out, tracer) {
+        if let Err(e) = jsonl.finish() {
+            eprintln!("verification failed: write {out}: {e}");
+            return ExitCode::from(2);
+        }
+        if let Verdict::Unknown(b) = &v.verdict {
+            eprintln!("budget exhausted ({b:?}); flight recorder tail:\n{}", recorder.dump());
+        }
+    }
+    if let (Some(out), Some(profiler)) = (&profile_out, &profiler) {
+        let components = if prepared.num_units() > 0 { prepared.components(0) } else { Vec::new() };
         let catalog = query_catalog(verifier.spec(), &components);
-        let report = profile_report(&catalog, &v, &profiler);
+        let report = profile_report(&catalog, &v, profiler);
         if let Err(e) = std::fs::write(out, format!("{report}\n")) {
             eprintln!("cannot write {out}: {e}");
             return ExitCode::from(2);
         }
         if !json_out && !quiet {
-            print_attribution_table(&catalog, &v, &profiler, 10);
+            print_attribution_table(&catalog, &v, profiler, 10);
             eprintln!("profile: wrote {out}");
         }
     }
     // replay a counterexample once, before either output mode reports it
     if let Verdict::Violated(ce) = &v.verdict {
         if !no_replay {
-            if let Err(e) = verifier.validate_counterexample(&property, ce) {
+            if let Err(e) = prepared.replay(ce) {
                 eprintln!("internal error: counterexample failed replay: {e}");
                 return ExitCode::from(2);
             }
@@ -802,39 +826,29 @@ fn cmd_lint(rest: &[String]) -> ExitCode {
 }
 
 /// How many trailing events the `--trace-out` flight recorder keeps for
-/// the stderr dump on budget exhaustion or panic.
+/// the stderr dump on budget exhaustion or panic: the last events before
+/// the end are what a bug report needs.
 const FLIGHT_RECORDER_CAPACITY: usize = 256;
 
-/// Run one check with a JSONL tracer streaming to `out` and a flight
-/// recorder watching the tail. The recorder is dumped to stderr when the
-/// search dies (panic) or gives up (budget exhausted) — the last events
-/// before the end are exactly what a bug report needs.
-fn run_traced(
-    verifier: &Verifier,
+/// Run the sequential driver `wave check` picked — the checkpointed one
+/// under `--checkpoint-dir`, the plain one otherwise — with `obs`
+/// watching.
+fn check_sequential<O: wave::core::Observer + Send>(
+    prepared: &wave::core::PreparedCheck<'_>,
     property: &wave::ltl::Property,
-    out: &str,
+    checkpoint: Option<&wave::core::CheckpointConfig>,
+    obs: &mut O,
 ) -> Result<wave::Verification, String> {
-    let file = std::fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    let mut tracer = wave::core::Tee(
-        wave::core::JsonlTracer::new(std::io::BufWriter::new(file)),
-        wave::core::FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
-    );
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        verifier.check_traced(property, &mut tracer)
-    }));
-    let wave::core::Tee(jsonl, recorder) = tracer;
-    let v = match run {
-        Ok(result) => result.map_err(|e| e.to_string())?,
-        Err(panic) => {
-            eprintln!("search panicked; flight recorder tail:\n{}", recorder.dump());
-            std::panic::resume_unwind(panic);
-        }
+    let Some(config) = checkpoint else {
+        return prepared.check(obs).map_err(|e| e.to_string());
     };
-    jsonl.finish().map_err(|e| format!("write {out}: {e}"))?;
-    if let Verdict::Unknown(b) = &v.verdict {
-        eprintln!("budget exhausted ({b:?}); flight recorder tail:\n{}", recorder.dump());
+    match prepared.check_checkpointed(property, config, obs) {
+        Ok(wave::core::CheckpointOutcome::Finished(v)) => Ok(v),
+        Ok(wave::core::CheckpointOutcome::Interrupted { .. }) => {
+            unreachable!("the interrupt hook is never armed from the CLI")
+        }
+        Err(e) => Err(e.to_string()),
     }
-    Ok(v)
 }
 
 /// `wave check --fleet`: bind a dispatcher, optionally spawn in-process
@@ -844,9 +858,9 @@ fn run_fleet(
     addr: &str,
     workers: usize,
     verifier: &Verifier,
+    prepared: &wave::core::PreparedCheck<'_>,
     spec_text: &str,
     property_text: &str,
-    property: &wave::ltl::Property,
 ) -> Result<wave::Verification, String> {
     let dispatcher = wave_svc::FleetDispatcher::bind(addr, wave_svc::FleetOptions::default())
         .map_err(|e| format!("cannot bind fleet dispatcher on {addr}: {e}"))?;
@@ -864,8 +878,13 @@ fn run_fleet(
                 }
             });
         }
-        wave_svc::check_fleet(&dispatcher, verifier, spec_text, property_text, property)
-            .map_err(|e| e.to_string())
+        let source = wave_svc::CheckSource {
+            spec: spec_text.to_string(),
+            property: property_text.to_string(),
+        };
+        let checks = std::slice::from_ref(prepared);
+        let mut runs = dispatcher.run_checks(verifier.options(), checks, &[source]);
+        runs.pop().expect("one check in, one verification out").map_err(|e| e.to_string())
     })
 }
 

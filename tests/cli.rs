@@ -344,6 +344,101 @@ fn trace_out_round_trips_through_summarize() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--json` record without its `_ms`/`_pct` keys (wall-clock times
+/// and phase shares), at any depth.
+fn without_times(json: wave_svc::Json) -> wave_svc::Json {
+    use wave_svc::Json;
+    match json {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .into_iter()
+                .filter(|(k, _)| !k.ends_with("_ms") && !k.ends_with("_pct"))
+                .map(|(k, v)| (k, without_times(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(without_times).collect()),
+        other => other,
+    }
+}
+
+#[test]
+fn checkpointed_json_matches_the_plain_record() {
+    // the fixture's dead rule makes the per-check slice counters
+    // nonzero; every driver must stamp them
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/lint/w0601.wave");
+    let dir = std::env::temp_dir().join(format!("wave-ckpt-json-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |extra: &[&str]| {
+        let out = Command::new(wave_bin())
+            .args(["check", fixture.to_str().unwrap(), "--property", "G !log(\"teleport\")"])
+            .args(["--json"])
+            .args(extra)
+            .output()
+            .expect("wave runs");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let record = wave_svc::parse_json(text.trim()).expect("json record");
+        (out.status.code(), without_times(record).to_string())
+    };
+    let plain = run(&[]);
+    assert!(plain.1.contains("\"slice_rules_removed\":1"), "{}", plain.1);
+    assert!(plain.1.contains("\"flow_dead_rules\":1"), "{}", plain.1);
+    let checkpointed = run(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    assert_eq!(checkpointed, plain, "--checkpoint-dir changed the record");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpointed_check_takes_both_observers() {
+    let dir = std::env::temp_dir().join(format!("wave-ckpt-obs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, profile) = (dir.join("trace.jsonl"), dir.join("profile.json"));
+    let spec = spec_path("e2_motogp.wave");
+    for property in ["F @HP", "F @GDP"] {
+        let check = |extra: &[&str]| {
+            let out = Command::new(wave_bin())
+                .args(["check", spec.to_str().unwrap(), "--property", property, "--quiet"])
+                .args(extra)
+                .output()
+                .expect("wave runs");
+            (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+        };
+        let observed = check(&[
+            "--checkpoint-dir",
+            dir.join("ckpt").to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+            "--trace-out",
+            trace.to_str().unwrap(),
+            "--profile-out",
+            profile.to_str().unwrap(),
+        ]);
+        assert_eq!(observed, check(&[]), "{property}: observation changed the outcome");
+
+        let summary = Command::new(wave_bin())
+            .args(["trace", "summarize", trace.to_str().unwrap()])
+            .output()
+            .expect("wave runs");
+        assert_eq!(summary.status.code(), Some(0), "{summary:?}");
+        assert!(String::from_utf8_lossy(&summary.stdout).contains("event counts:"));
+
+        let flame = Command::new(wave_bin())
+            .args(["prof", "flame", profile.to_str().unwrap()])
+            .output()
+            .expect("wave runs");
+        assert_eq!(flame.status.code(), Some(0), "{flame:?}");
+        let stacks = String::from_utf8(flame.stdout).unwrap();
+        assert!(stacks.lines().any(|l| l.starts_with("unit:0;core:")), "{stacks}");
+        for line in stacks.lines() {
+            let (stack, value) = line.rsplit_once(' ').expect("folded line");
+            assert!(stack.split(';').all(|f| !f.is_empty()), "{line}");
+            value.parse::<u64>().expect("folded value");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn fmt_output_reparses() {
     let out = Command::new(wave_bin())

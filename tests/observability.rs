@@ -9,7 +9,7 @@
 //! 2. Tracing is observation-only: verdicts, counterexample lassos, and
 //!    the deterministic search counters are byte-identical with and
 //!    without a tracer attached, across all four benchmark suites.
-//! 3. Span profiling is observation-only too: `check_profiled` with a
+//! 3. Span profiling is observation-only too: a check observed by a
 //!    live [`SpanProfiler`] reaches the same deterministic outcome as a
 //!    plain `check`, including under the tiered out-of-core store and
 //!    (behind `WAVE_TEST_PROFILE=1`) on a memo-heavy search.
@@ -123,7 +123,8 @@ fn assert_tracing_is_observation_only(suite: &AppSuite, names: &[&str]) {
         let property = parse_property(&case.text).unwrap();
         let plain = verifier.check(&property).expect("untraced check runs");
         let mut tracer = JsonlTracer::new(Vec::new());
-        let traced = verifier.check_traced(&property, &mut tracer).expect("traced check runs");
+        let traced =
+            verifier.prepare(&property).unwrap().check(&mut tracer).expect("traced check runs");
         assert_eq!(
             outcome(&plain),
             outcome(&traced),
@@ -138,7 +139,7 @@ fn assert_tracing_is_observation_only(suite: &AppSuite, names: &[&str]) {
 }
 
 /// Like [`assert_tracing_is_observation_only`], but for the monomorphized
-/// span profiler: `check_profiled` with a live [`SpanProfiler`] must
+/// span profiler: a check observed by a live [`SpanProfiler`] must
 /// reproduce the plain check's verdict and deterministic counters.
 fn assert_profiling_is_observation_only(suite: &AppSuite, names: &[&str], options: VerifyOptions) {
     let verifier = Verifier::with_options(suite.spec.clone(), options).expect("spec compiles");
@@ -147,7 +148,7 @@ fn assert_profiling_is_observation_only(suite: &AppSuite, names: &[&str], option
         let plain = verifier.check(&property).expect("unprofiled check runs");
         let mut profiler = SpanProfiler::new();
         let profiled =
-            verifier.check_profiled(&property, &mut profiler).expect("profiled check runs");
+            verifier.prepare(&property).unwrap().check(&mut profiler).expect("profiled check runs");
         assert_eq!(
             outcome(&plain),
             outcome(&profiled),

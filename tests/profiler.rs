@@ -19,8 +19,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 use wave::apps::e1;
-use wave::core::{SpanProfiler, NO_INDEX};
-use wave::{parse_property, Verifier};
+use wave::core::{SpanProfiler, StateStoreKind, TierParams, NO_INDEX};
+use wave::{parse_property, Verifier, VerifyOptions};
 
 fn spec_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../apps/specs").join(name)
@@ -51,7 +51,7 @@ fn attribution_agrees_with_phase_timers_on_e1_p5() {
     let case = suite.properties.iter().find(|c| c.name == "P5").unwrap();
     let property = parse_property(&case.text).unwrap();
     let mut profiler = SpanProfiler::new();
-    let v = verifier.check_profiled(&property, &mut profiler).expect("profiled check runs");
+    let v = verifier.prepare(&property).unwrap().check(&mut profiler).expect("profiled check runs");
     assert!(v.verdict.holds(), "{:?}", v.verdict);
     assert_eq!(profiler.open_depth(), 0, "span frames must balance");
 
@@ -87,6 +87,51 @@ fn attribution_agrees_with_phase_timers_on_e1_p5() {
         folded.iter().any(|l| l.contains("query:")),
         "per-query frames must appear in the fold: {folded:?}"
     );
+}
+
+/// The span tree partitions the check's time, also when the tiered
+/// store spills every visited pair (E1/P10 at a 0-byte budget). The
+/// store's `spill` and `compact` I/O runs inside the visited-set probes,
+/// so inside `visit`'s residual, and is split out of `visit` rather
+/// than counted twice: no frame's children outgrow it, `visit`'s self
+/// time plus the two I/O frames is exactly the profile's `visit_ns`, and
+/// the folded stacks sum to at most the check's elapsed time.
+#[test]
+fn span_tree_partitions_the_check_under_spilling() {
+    let suite = e1::suite();
+    let options = VerifyOptions {
+        state_store: StateStoreKind::Tiered(TierParams { mem_bytes: 0, spill_dir: None }),
+        ..VerifyOptions::default()
+    };
+    let verifier = Verifier::with_options(suite.spec.clone(), options).unwrap();
+    let case = suite.properties.iter().find(|c| c.name == "P10").unwrap();
+    let property = parse_property(&case.text).unwrap();
+    let mut profiler = SpanProfiler::new();
+    let v = verifier.prepare(&property).unwrap().check(&mut profiler).expect("profiled check runs");
+    let p = &v.stats.profile;
+    assert!(p.spill_pairs > 0 && p.spill_compactions > 0, "P10 must spill and compact: {p:?}");
+    assert_eq!(profiler.open_depth(), 0, "span frames must balance");
+
+    let rows = profiler.rows();
+    for row in &rows {
+        let children: u64 = rows
+            .iter()
+            .filter(|c| c.stack.rsplit_once(';').is_some_and(|(parent, _)| parent == row.stack))
+            .map(|c| c.total_ns)
+            .sum();
+        assert!(
+            children <= row.total_ns,
+            "{}: children {children} > total {}",
+            row.stack,
+            row.total_ns
+        );
+    }
+    let io = profiler.total_ns_of("spill", NO_INDEX) + profiler.total_ns_of("compact", NO_INDEX);
+    assert!(io > 0, "the spill I/O must show in the tree");
+    assert_eq!(profiler.self_ns_of("visit") + io, p.visit_ns);
+    let folded: u64 = profiler.fold().iter().map(|l| assert_folded_line(l)).sum();
+    let elapsed = v.stats.elapsed.as_nanos() as u64;
+    assert!(folded <= elapsed, "folded stacks sum to {folded} ns, the check took {elapsed} ns");
 }
 
 /// The phase profile accounts for the search: each core's run charges

@@ -15,7 +15,7 @@
 //! strict subset of v2 (pinned by `v1_traces_still_summarize`).
 
 use wave::apps::e1;
-use wave::core::{JsonlTracer, SearchTracer, TraceEvent, TRACE_SCHEMA_VERSION};
+use wave::core::{JsonlTracer, Observer, TraceEvent, TRACE_SCHEMA_VERSION};
 use wave::{parse_property, Verifier, VerifyOptions};
 use wave_svc::{parse_json, Json};
 
@@ -46,7 +46,7 @@ fn skeleton(line: &str) -> String {
 fn trace_of(verifier: &Verifier, property: &str) -> String {
     let prop = parse_property(property).unwrap();
     let mut tracer = JsonlTracer::new(Vec::new());
-    verifier.check_traced(&prop, &mut tracer).expect("check runs");
+    verifier.prepare(&prop).unwrap().check(&mut tracer).expect("check runs");
     assert!(tracer.take_error().is_none());
     String::from_utf8(tracer.into_inner()).unwrap()
 }
