@@ -350,7 +350,7 @@ impl<'a, O: Observer> Ndfs<'a, O> {
     fn search(&mut self) -> Result<(), SuccError> {
         let starts = self.successors(None)?;
         for &(id, ref c0) in starts.iter() {
-            if !self.store.mark(VisitTable::key(id, self.buchi.initial), Phase::Stick) {
+            if !self.store.mark(VisitTable::key(id, self.buchi.initial), Phase::Stick)? {
                 let assignment = self.expand(id, c0)?.0;
                 if O::EVENTS {
                     self.obs.event(TraceEvent::Phase { candy: false, depth: 0 });
@@ -470,7 +470,7 @@ impl<'a, O: Observer> Ndfs<'a, O> {
                     return Ok(());
                 }
                 let key = VisitTable::key(ct_id, t);
-                if !self.store.mark(key, Phase::Stick) {
+                if !self.store.mark(key, Phase::Stick)? {
                     let assignment = self.expand(ct_id, ct)?.0;
                     self.path.push(TraceStep { auto_state: t, config: ct.clone(), assignment });
                     self.stick(ct_id)?;
@@ -481,7 +481,7 @@ impl<'a, O: Observer> Ndfs<'a, O> {
                 }
                 if self.buchi.accepting[t] {
                     // candidate base of the candy: search for a cycle back
-                    if !self.store.is_marked(key, Phase::Candy) {
+                    if !self.store.is_marked(key, Phase::Candy)? {
                         let assignment = self.expand(ct_id, ct)?.0;
                         if O::EVENTS {
                             self.obs.event(TraceEvent::Phase {
@@ -491,7 +491,7 @@ impl<'a, O: Observer> Ndfs<'a, O> {
                         }
                         self.base_key = Some(key);
                         self.base_index = self.path.len();
-                        self.store.mark(key, Phase::Candy);
+                        self.store.mark(key, Phase::Candy)?;
                         self.path.push(TraceStep { auto_state: t, config: ct.clone(), assignment });
                         self.candy(ct_id)?;
                         self.path.pop();
@@ -543,7 +543,7 @@ impl<'a, O: Observer> Ndfs<'a, O> {
                     });
                     return Ok(());
                 }
-                if !self.store.mark(key, Phase::Candy) {
+                if !self.store.mark(key, Phase::Candy)? {
                     let assignment = self.expand(ct_id, ct)?.0;
                     self.path.push(TraceStep { auto_state: t, config: ct.clone(), assignment });
                     self.candy(ct_id)?;

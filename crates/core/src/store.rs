@@ -103,19 +103,21 @@ impl StateStore {
     }
 
     /// Mark a pair key visited in `phase`; true when it already was.
+    /// Fails only in the tiered set, when its spill I/O fails.
     #[inline]
-    pub fn mark(&mut self, key: u64, phase: Phase) -> bool {
+    pub fn mark(&mut self, key: u64, phase: Phase) -> io::Result<bool> {
         match &mut self.visits {
-            Visits::Table(t) => t.mark(key, phase),
+            Visits::Table(t) => Ok(t.mark(key, phase)),
             Visits::Tiered(t) => t.mark(key, phase.mask()),
         }
     }
 
-    /// Is a pair key marked for `phase`?
+    /// Is a pair key marked for `phase`? Fails only in the tiered set,
+    /// when a cold probe's read fails.
     #[inline]
-    pub fn is_marked(&self, key: u64, phase: Phase) -> bool {
+    pub fn is_marked(&self, key: u64, phase: Phase) -> io::Result<bool> {
         match &self.visits {
-            Visits::Table(t) => t.is_marked(key, phase),
+            Visits::Table(t) => Ok(t.is_marked(key, phase)),
             Visits::Tiered(t) => t.is_marked(key, phase.mask()),
         }
     }
@@ -229,14 +231,14 @@ mod tests {
         let pa0 = VisitTable::key(ka, 0);
         let pa1 = VisitTable::key(ka, 1);
 
-        assert!(!s.mark(pa0, Phase::Stick));
-        assert!(s.mark(pa0, Phase::Stick));
-        assert!(!s.is_marked(pa0, Phase::Candy));
-        assert!(!s.mark(pa1, Phase::Stick));
+        assert!(!s.mark(pa0, Phase::Stick).unwrap());
+        assert!(s.mark(pa0, Phase::Stick).unwrap());
+        assert!(!s.is_marked(pa0, Phase::Candy).unwrap());
+        assert!(!s.mark(pa1, Phase::Stick).unwrap());
         assert_eq!(s.max_visited(), 2);
         s.clear_visits();
-        assert!(!s.is_marked(pa0, Phase::Stick));
-        assert!(!s.mark(pa0, Phase::Stick), "keys survive clear_visits");
+        assert!(!s.is_marked(pa0, Phase::Stick).unwrap());
+        assert!(!s.mark(pa0, Phase::Stick).unwrap(), "keys survive clear_visits");
         assert_eq!(s.max_visited(), 2, "historic max survives clear");
     }
 
@@ -269,7 +271,7 @@ mod tests {
         // 64-slot floor -> 48-entry ceiling; 300 pairs must spill
         let (key, _) = s.intern(&cfg(0, &[1]));
         for auto_state in 0..300 {
-            assert!(!s.mark(VisitTable::key(key, auto_state), Phase::Stick));
+            assert!(!s.mark(VisitTable::key(key, auto_state), Phase::Stick).unwrap());
         }
         assert_eq!(s.max_visited(), 300, "distinct count spans both tiers");
         let (resident, spilled) = s.visited_breakdown();
@@ -299,7 +301,7 @@ mod tests {
         let mut s = store(StateStoreKind::Interned);
         let (key, _) = s.intern(&cfg(0, &[1]));
         for auto_state in 0..300 {
-            s.mark(VisitTable::key(key, auto_state), Phase::Stick);
+            s.mark(VisitTable::key(key, auto_state), Phase::Stick).unwrap();
         }
         assert_eq!(s.tier_counters(), TierCounters::default());
         assert_eq!(s.spill_timers(), (0, 0));

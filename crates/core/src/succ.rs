@@ -48,6 +48,8 @@ pub enum SuccError {
     Overflow(UniverseOverflow),
     Eval(EvalError),
     Exec(wave_relalg::ExecError),
+    /// The tiered visited set's spill I/O failed.
+    Store(std::io::Error),
 }
 
 impl std::fmt::Display for SuccError {
@@ -56,6 +58,7 @@ impl std::fmt::Display for SuccError {
             SuccError::Overflow(e) => write!(f, "{e}"),
             SuccError::Eval(e) => write!(f, "rule evaluation failed: {e}"),
             SuccError::Exec(e) => write!(f, "plan execution failed: {e}"),
+            SuccError::Store(e) => write!(f, "{e}"),
         }
     }
 }
@@ -77,6 +80,12 @@ impl From<EvalError> for SuccError {
 impl From<wave_relalg::ExecError> for SuccError {
     fn from(e: wave_relalg::ExecError) -> Self {
         SuccError::Exec(e)
+    }
+}
+
+impl From<std::io::Error> for SuccError {
+    fn from(e: std::io::Error) -> Self {
+        SuccError::Store(e)
     }
 }
 

@@ -257,8 +257,8 @@ pub enum VerifyError {
     /// Checkpoint I/O failed or an adopted checkpoint turned out to be
     /// internally inconsistent (see [`crate::checkpoint`]).
     Checkpoint(String),
-    /// The state store could not be built (e.g. the tiered set's spill
-    /// directory cannot be created).
+    /// The state store failed: the tiered set's spill directory cannot
+    /// be created, or a spill, compaction or cold probe failed mid-search.
     Store(String),
     /// A worker running the unit panicked. The schedulers catch the
     /// unwind and record it as a failed outcome so one poisoned unit
@@ -295,6 +295,7 @@ impl From<SuccError> for VerifyError {
     fn from(e: SuccError) -> Self {
         match e {
             SuccError::Overflow(o) => VerifyError::Overflow(o),
+            SuccError::Store(e) => VerifyError::Store(e.to_string()),
             other => VerifyError::Succ(other),
         }
     }
@@ -1087,6 +1088,43 @@ mod tests {
         match result {
             Err(VerifyError::Store(msg)) => {
                 assert!(msg.starts_with("tiered store: cannot create spill dir: "), "{msg}")
+            }
+            other => panic!("expected a store error, got {other:?}"),
+        }
+    }
+
+    /// Unlinks the spill directory when the first core starts, so the
+    /// search's first spill has nowhere to go.
+    struct UnlinkSpillDir(std::path::PathBuf);
+
+    impl Observer for UnlinkSpillDir {
+        const EVENTS: bool = true;
+
+        fn event(&mut self, event: TraceEvent) {
+            if matches!(event, TraceEvent::Core { .. }) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_spill_ends_the_search_with_a_store_error() {
+        let dir = std::env::temp_dir().join(format!("wave-verify-unlinked-{}", std::process::id()));
+        let property = "forall x: G (bought(x) -> incart(x))";
+        let mut verifier = cart();
+        verifier.options_mut().state_store = StateStoreKind::Tiered(crate::TierParams {
+            mem_bytes: 0,
+            spill_dir: Some(dir.clone()),
+        });
+        let spilled = verifier.check_str(property).unwrap().stats.max_spilled;
+        assert!(spilled > 0, "the check must spill for the test to mean anything");
+        let prepared = verifier.prepare(&parse_property(property).unwrap()).unwrap();
+        let result = prepared.check(&mut UnlinkSpillDir(dir.clone()));
+        let _ = std::fs::remove_dir_all(&dir);
+        match result {
+            Err(VerifyError::Store(msg)) => {
+                assert!(msg.starts_with("tiered store: spill to "), "{msg}");
+                assert!(msg.contains(&dir.display().to_string()), "names the spill path: {msg}");
             }
             other => panic!("expected a store error, got {other:?}"),
         }

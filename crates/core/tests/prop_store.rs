@@ -95,7 +95,7 @@ proptest! {
                         let k = key(cfg, auto);
                         prop_assert_eq!(
                             oracle.mark(k, phase(candy)),
-                            tiered.mark(k, phase(candy)),
+                            tiered.mark(k, phase(candy)).unwrap(),
                             "op {i}: mark({cfg},{auto},{candy:?}) diverged at {mem_bytes} bytes"
                         );
                     }
@@ -103,7 +103,7 @@ proptest! {
                         let k = key(cfg, auto);
                         prop_assert_eq!(
                             oracle.is_marked(k, phase(candy)),
-                            tiered.is_marked(k, phase(candy)),
+                            tiered.is_marked(k, phase(candy)).unwrap(),
                             "op {i}: is_marked({cfg},{auto},{candy:?}) diverged at {mem_bytes} bytes"
                         );
                     }
@@ -151,16 +151,16 @@ proptest! {
                     Op::Mark { cfg, auto, candy } => {
                         let k = VisitTable::key(keys[cfg as usize], auto as usize);
                         prop_assert_eq!(
-                            oracle.mark(k, phase(candy)),
-                            tiered.mark(k, phase(candy)),
+                            oracle.mark(k, phase(candy)).unwrap(),
+                            tiered.mark(k, phase(candy)).unwrap(),
                             "op {i}: mark diverged"
                         );
                     }
                     Op::Probe { cfg, auto, candy } => {
                         let k = VisitTable::key(keys[cfg as usize], auto as usize);
                         prop_assert_eq!(
-                            oracle.is_marked(k, phase(candy)),
-                            tiered.is_marked(k, phase(candy)),
+                            oracle.is_marked(k, phase(candy)).unwrap(),
+                            tiered.is_marked(k, phase(candy)).unwrap(),
                             "op {i}: is_marked diverged"
                         );
                     }

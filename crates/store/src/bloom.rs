@@ -91,23 +91,6 @@ impl SplitBloom {
     pub fn bytes(&self) -> usize {
         self.blocks.len() * BLOCK_WORDS * 8
     }
-
-    /// Raw bit words, for segment sidecars and manifests.
-    pub fn to_words(&self) -> Vec<u64> {
-        self.blocks.iter().flatten().copied().collect()
-    }
-
-    /// Rebuild from [`SplitBloom::to_words`] output. `None` when the
-    /// word count is not a power-of-two block multiple.
-    pub fn from_words(capacity: usize, words: &[u64]) -> Option<SplitBloom> {
-        let blocks = words.len() / BLOCK_WORDS;
-        if blocks == 0 || !blocks.is_power_of_two() || blocks * BLOCK_WORDS != words.len() {
-            return None;
-        }
-        let blocks: Vec<[u64; BLOCK_WORDS]> =
-            words.chunks_exact(BLOCK_WORDS).map(|c| c.try_into().unwrap()).collect();
-        Some(SplitBloom { mask: blocks.len() as u64 - 1, blocks, capacity: capacity.max(64) })
-    }
 }
 
 #[cfg(test)]
@@ -143,20 +126,5 @@ mod tests {
         assert!(b.may_contain(42));
         b.clear();
         assert!(!b.may_contain(42));
-    }
-
-    #[test]
-    fn words_round_trip() {
-        let mut b = SplitBloom::with_capacity(1000);
-        for k in 0..1000u64 {
-            b.insert(mix64(k));
-        }
-        let words = b.to_words();
-        let b2 = SplitBloom::from_words(b.capacity(), &words).unwrap();
-        assert_eq!(b2.bytes(), b.bytes());
-        for k in 0..1000u64 {
-            assert!(b2.may_contain(mix64(k)));
-        }
-        assert!(SplitBloom::from_words(64, &words[..BLOCK_WORDS * 3]).is_none());
     }
 }

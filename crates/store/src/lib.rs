@@ -8,13 +8,16 @@
 //!   (the common case mid-search) answer from one cache line and never
 //!   touch disk.
 //! * [`ClockTable`] — the hot tier: a fixed-budget open-addressing
-//!   table of packed pairs under clock/second-chance eviction.
-//! * [`Segment`] — the cold tier: sorted immutable spill runs with
-//!   fence keys and Bloom sidecars, point-probed via positioned reads
-//!   and merge-compacted LSM-style.
+//!   table of packed pairs under clock/second-chance eviction, probed
+//!   a word (eight slots) at a time.
+//! * [`Segment`] — the cold tier: sorted immutable spill runs, merge-
+//!   compacted LSM-style. Fence keys, a Bloom sidecar and a page index
+//!   stay in memory, so a cold probe costs at most one positioned read
+//!   of one page. Segments are unsynced scratch files, private to one
+//!   store and removed with it.
 //! * [`TieredVisits`] — the three layers composed behind the same mark
-//!   semantics as `wave-core`'s `VisitTable`, plus a persist/reopen
-//!   manifest for checkpoint round-trips.
+//!   semantics as `wave-core`'s `VisitTable`; a spill I/O failure comes
+//!   back as an `io::Error`.
 //!
 //! The crate is deliberately std-only and knows nothing about
 //! configurations or automata: it stores `u64` keys and `u8` mark
@@ -36,6 +39,6 @@ pub mod tiered;
 
 pub use bloom::{mix64, SplitBloom};
 pub use hot::{ClockTable, SLOT_BYTES};
-pub use segment::{Segment, SegmentIter, SegmentWriter};
+pub use segment::{Segment, SegmentIter};
 pub use ser::{fnv1a, ByteReader, ByteWriter};
 pub use tiered::{TierConfig, TierCounters, TieredVisits};

@@ -1,11 +1,11 @@
 //! Minimal length-checked binary (de)serialization.
 //!
-//! Spill segments, tier manifests, and the core checkpoint file all
-//! share this tiny little-endian wire layer instead of pulling in a
-//! serde stack (the build has no route to crates.io, and the formats
-//! are simple enough that explicit framing is clearer anyway). Writers
-//! are infallible; readers return `None` on truncation so corrupt or
-//! short files surface as a decode failure, never a panic.
+//! The core checkpoint file is framed with this tiny little-endian
+//! wire layer instead of a serde stack (the build has no route to
+//! crates.io, and the format is simple enough that explicit framing is
+//! clearer anyway). Writers are infallible; readers return `None` on
+//! truncation so corrupt or short files surface as a decode failure,
+//! never a panic.
 
 /// Append-only little-endian writer.
 #[derive(Debug, Default)]
@@ -109,8 +109,8 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// FNV-1a over a byte slice — the integrity checksum for manifests and
-/// checkpoint payloads (cheap, dependency-free, stable across builds).
+/// FNV-1a over a byte slice — the integrity checksum for checkpoint
+/// payloads (cheap, dependency-free, stable across builds).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -1,5 +1,5 @@
 //! The tiered visited-pair set: Bloom front → clock hot tier → sorted
-//! spill segments, with a manifest for checkpoint round-trips.
+//! spill segments.
 //!
 //! [`TieredVisits`] implements the same mark semantics as the in-core
 //! `VisitTable` (two phase bits per packed `u64` pair key, marks
@@ -27,14 +27,16 @@
 //! is a definite "new key", and a Bloom maybe is resolved by the exact
 //! cold probe — false positives cost a probe, never a miscount.
 //!
-//! Spill I/O failures (disk full, unlinked spill dir) panic: `mark` has
-//! no error channel, and a store that silently dropped visited marks
-//! would turn the NDFS into a liveness bug.
+//! The segments are scratch for one store's lifetime: checkpoints are
+//! taken at core boundaries, where the visited set is empty, so nothing
+//! is synced and the store keeps no manifest. A spill I/O failure (disk
+//! full, unlinked spill dir) comes back from `mark`/`is_marked` as an
+//! `io::Error` naming the file; the store's answers are undefined after
+//! one, so the caller must stop the search.
 
 use crate::bloom::SplitBloom;
 use crate::hot::ClockTable;
-use crate::segment::{Segment, SegmentWriter};
-use crate::ser::{fnv1a, ByteReader, ByteWriter};
+use crate::segment::Segment;
 use std::cell::Cell;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -67,7 +69,8 @@ pub struct TierCounters {
     /// Pairs written to spill segments (re-spills of re-promoted keys
     /// count again; this measures I/O volume, not distinct keys).
     pub spill_pairs: u64,
-    /// Spill segments written (compaction outputs included).
+    /// Spill segments written by eviction (compaction outputs are not
+    /// counted).
     pub spill_segments: u64,
     /// Cold-tier merge compactions run.
     pub compactions: u64,
@@ -83,9 +86,6 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 struct SpillDir {
     path: PathBuf,
-    /// We created it privately — remove the whole directory on drop
-    /// (unless a manifest detached it for a later reopen).
-    owned: bool,
     next_seq: u64,
 }
 
@@ -103,7 +103,7 @@ impl SpillDir {
             None => std::env::temp_dir().join(leaf),
         };
         std::fs::create_dir_all(&path)?;
-        Ok(SpillDir { path, owned: true, next_seq: 0 })
+        Ok(SpillDir { path, next_seq: 0 })
     }
 
     fn next_segment_path(&mut self) -> PathBuf {
@@ -115,10 +115,13 @@ impl SpillDir {
 
 impl Drop for SpillDir {
     fn drop(&mut self) {
-        if self.owned {
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
+        let _ = std::fs::remove_dir_all(&self.path);
     }
+}
+
+/// `e`, prefixed with what failed on which file or directory.
+fn failed(what: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("tiered store: {what} {} failed: {e}", path.display()))
 }
 
 /// The tiered visited-pair set; see the module docs.
@@ -141,8 +144,8 @@ pub struct TieredVisits {
     spill_segments: u64,
     compactions: u64,
     /// Wall time in segment writes / merge compactions. Diagnostics
-    /// for the span profiler — not persisted, not part of the
-    /// deterministic [`TierCounters`] contract.
+    /// for the span profiler — not part of the deterministic
+    /// [`TierCounters`] contract.
     spill_ns: u64,
     compact_ns: u64,
     // read-path counters need interior mutability: is_marked is &self
@@ -178,14 +181,15 @@ impl TieredVisits {
     }
 
     /// Mark `key` with `mask`; true when the masked bits were already
-    /// set (same contract as `VisitTable::mark`).
-    pub fn mark(&mut self, key: u64, mask: u8) -> bool {
+    /// set (same contract as `VisitTable::mark`). Fails when a spill,
+    /// compaction or cold probe fails.
+    pub fn mark(&mut self, key: u64, mask: u8) -> io::Result<bool> {
         if let Some(old) = self.hot.touch_or(key, mask) {
-            return old & mask != 0;
+            return Ok(old & mask != 0);
         }
         let cold_marks = if self.front.may_contain(key) {
             self.cold_probes.set(self.cold_probes.get() + 1);
-            self.probe_cold(key)
+            self.probe_cold(key)?
         } else {
             self.bloom_skips.set(self.bloom_skips.get() + 1);
             None
@@ -194,27 +198,27 @@ impl TieredVisits {
             self.distinct += 1;
             self.max_distinct = self.max_distinct.max(self.distinct);
             if self.distinct > self.front.capacity() {
-                self.grow_front();
+                self.grow_front()?;
             }
             self.front.insert(key);
         }
         let merged = cold_marks.unwrap_or(0) | mask;
-        self.insert_hot(key, merged);
-        cold_marks.is_some_and(|m| m & mask != 0)
+        self.insert_hot(key, merged)?;
+        Ok(cold_marks.is_some_and(|m| m & mask != 0))
     }
 
     /// Are `mask`'s bits set for `key`? Pure read: no promotion, no
-    /// reference-bit update.
-    pub fn is_marked(&self, key: u64, mask: u8) -> bool {
+    /// reference-bit update. Fails when a cold probe fails.
+    pub fn is_marked(&self, key: u64, mask: u8) -> io::Result<bool> {
         if let Some(marks) = self.hot.get(key) {
-            return marks & mask != 0;
+            return Ok(marks & mask != 0);
         }
         if !self.front.may_contain(key) {
             self.bloom_skips.set(self.bloom_skips.get() + 1);
-            return false;
+            return Ok(false);
         }
         self.cold_probes.set(self.cold_probes.get() + 1);
-        self.probe_cold(key).is_some_and(|m| m & mask != 0)
+        Ok(self.probe_cold(key)?.is_some_and(|m| m & mask != 0))
     }
 
     /// Drop all marks (between NDFS cores). High-water marks and event
@@ -275,45 +279,41 @@ impl TieredVisits {
     }
 
     /// Wall time spent in (segment writes, merge compactions), in
-    /// nanoseconds since construction. Not persisted across reopen.
+    /// nanoseconds since construction.
     pub fn spill_timers(&self) -> (u64, u64) {
         (self.spill_ns, self.compact_ns)
     }
 
-    fn probe_cold(&self, key: u64) -> Option<u8> {
+    fn probe_cold(&self, key: u64) -> io::Result<Option<u8>> {
         // newest first: invariant 1 makes the newest copy a superset
         for seg in self.cold.iter().rev() {
-            let got = seg.get(key).unwrap_or_else(|e| {
-                panic!("wave-store: cold probe of {} failed: {e}", seg.path().display())
-            });
+            let got = seg.get(key).map_err(|e| failed("cold probe of", seg.path(), e))?;
             if got.is_some() {
-                return got;
+                return Ok(got);
             }
         }
-        None
+        Ok(None)
     }
 
-    fn insert_hot(&mut self, key: u64, marks: u8) {
+    fn insert_hot(&mut self, key: u64, marks: u8) -> io::Result<()> {
         if self.hot.is_full() {
-            self.spill();
+            self.spill()?;
         }
         self.hot.insert(key, marks);
         self.max_resident = self.max_resident.max(self.hot.len());
+        Ok(())
     }
 
-    fn spill(&mut self) {
+    fn spill(&mut self) -> io::Result<()> {
         let t0 = std::time::Instant::now();
         let target = (self.hot.capacity() / 4).max(1);
         let mut victims = self.hot.evict(target);
         if victims.is_empty() {
-            return;
+            return Ok(());
         }
         victims.sort_unstable_by_key(|&(k, _)| k);
         let path = self.dir.next_segment_path();
-        SegmentWriter::write(&path, &victims)
-            .unwrap_or_else(|e| panic!("wave-store: spill to {} failed: {e}", path.display()));
-        let seg = Segment::open(&path)
-            .unwrap_or_else(|e| panic!("wave-store: reopen of {} failed: {e}", path.display()));
+        let seg = Segment::write(&path, &victims).map_err(|e| failed("spill to", &path, e))?;
         self.cold.push(seg);
         self.spill_pairs += victims.len() as u64;
         self.spill_segments += 1;
@@ -321,30 +321,29 @@ impl TieredVisits {
         self.max_spilled = self.max_spilled.max(self.spilled);
         self.spill_ns += t0.elapsed().as_nanos() as u64;
         if self.cold.len() > self.config.segment_limit {
-            self.compact();
+            self.compact()?;
         }
+        Ok(())
     }
 
     /// Merge every cold segment into one sorted run, ORing the marks of
     /// duplicate keys (exact, since marks are monotone between clears).
-    fn compact(&mut self) {
+    fn compact(&mut self) -> io::Result<()> {
         let t0 = std::time::Instant::now();
         let merged =
-            self.merge_cold().unwrap_or_else(|e| panic!("wave-store: compaction read failed: {e}"));
+            self.merge_cold().map_err(|e| failed("compaction read in", &self.dir.path, e))?;
         for seg in self.cold.drain(..) {
             let _ = std::fs::remove_file(seg.path());
         }
         let path = self.dir.next_segment_path();
-        SegmentWriter::write(&path, &merged).unwrap_or_else(|e| {
-            panic!("wave-store: compaction write to {} failed: {e}", path.display())
-        });
-        let seg = Segment::open(&path)
-            .unwrap_or_else(|e| panic!("wave-store: reopen of {} failed: {e}", path.display()));
+        let seg =
+            Segment::write(&path, &merged).map_err(|e| failed("compaction write to", &path, e))?;
         self.spilled = seg.len();
         self.max_spilled = self.max_spilled.max(self.spilled);
         self.cold.push(seg);
         self.compactions += 1;
         self.compact_ns += t0.elapsed().as_nanos() as u64;
+        Ok(())
     }
 
     fn merge_cold(&self) -> io::Result<Vec<(u64, u8)>> {
@@ -369,155 +368,21 @@ impl TieredVisits {
         Ok(out)
     }
 
-    fn grow_front(&mut self) {
+    fn grow_front(&mut self) -> io::Result<()> {
         let mut front = SplitBloom::with_capacity(self.distinct * 2);
         for (k, _) in self.hot.iter() {
             front.insert(k);
         }
         for seg in &self.cold {
             let mut it = seg.stream();
-            loop {
-                match it.next_entry() {
-                    Ok(Some((k, _))) => front.insert(k),
-                    Ok(None) => break,
-                    Err(e) => panic!("wave-store: bloom rebuild scan failed: {e}"),
-                }
-            }
-        }
-        self.front = front;
-    }
-
-    // --- checkpoint round-trip -------------------------------------
-
-    const MANIFEST_VERSION: u32 = 1;
-
-    /// Serialize the tier state to a manifest blob. The hot tier is
-    /// flushed to one final segment first, so the blob plus the spill
-    /// directory's segment files are the complete state; pass the blob
-    /// to [`TieredVisits::reopen`] to resume. After `persist` the spill
-    /// directory is detached from drop-cleanup whenever it holds
-    /// segments (a later reopen needs the files).
-    pub fn persist(&mut self) -> io::Result<Vec<u8>> {
-        let mut resident: Vec<(u64, u8)> = self.hot.iter().collect();
-        if !resident.is_empty() {
-            resident.sort_unstable_by_key(|&(k, _)| k);
-            let path = self.dir.next_segment_path();
-            SegmentWriter::write(&path, &resident)?;
-            self.cold.push(Segment::open(&path)?);
-            self.spilled += resident.len();
-            self.max_spilled = self.max_spilled.max(self.spilled);
-            self.hot.clear();
-        }
-        if !self.cold.is_empty() {
-            self.dir.owned = false; // survive drop for the reopen
-        }
-        let mut w = ByteWriter::new();
-        w.u32(Self::MANIFEST_VERSION);
-        w.str(&self.dir.path.to_string_lossy());
-        w.u64(self.dir.next_seq);
-        w.u64(self.cold.len() as u64);
-        for seg in &self.cold {
-            let name = seg.path().file_name().unwrap_or_default().to_string_lossy();
-            w.str(&name);
-        }
-        for v in [
-            self.distinct as u64,
-            self.max_distinct as u64,
-            self.max_resident as u64,
-            self.spilled as u64,
-            self.max_spilled as u64,
-            self.spill_pairs,
-            self.spill_segments,
-            self.compactions,
-            self.bloom_skips.get(),
-            self.cold_probes.get(),
-        ] {
-            w.u64(v);
-        }
-        let payload = w.into_inner();
-        let mut framed = ByteWriter::new();
-        framed.u64(fnv1a(&payload));
-        framed.bytes(&payload);
-        Ok(framed.into_inner())
-    }
-
-    /// Rebuild a store from a [`TieredVisits::persist`] blob. The
-    /// segment files must still exist in the manifested directory; the
-    /// Bloom front is rebuilt by scanning them, and the hot tier starts
-    /// empty (keys re-promote on first touch).
-    pub fn reopen(config: TierConfig, blob: &[u8]) -> io::Result<TieredVisits> {
-        let bad = |what: &str| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("tier manifest: {what}"))
-        };
-        let mut framed = ByteReader::new(blob);
-        let sum = framed.u64().ok_or_else(|| bad("truncated"))?;
-        let payload = framed.bytes().ok_or_else(|| bad("truncated"))?;
-        if fnv1a(payload) != sum {
-            return Err(bad("checksum mismatch"));
-        }
-        let mut r = ByteReader::new(payload);
-        if r.u32() != Some(Self::MANIFEST_VERSION) {
-            return Err(bad("unsupported version"));
-        }
-        let dir_path = PathBuf::from(r.str().ok_or_else(|| bad("truncated"))?);
-        let next_seq = r.u64().ok_or_else(|| bad("truncated"))?;
-        let n_segs = r.u64().ok_or_else(|| bad("truncated"))?;
-        let mut names = Vec::new();
-        for _ in 0..n_segs {
-            names.push(r.str().ok_or_else(|| bad("truncated"))?.to_string());
-        }
-        let mut nums = [0u64; 10];
-        for slot in &mut nums {
-            *slot = r.u64().ok_or_else(|| bad("truncated"))?;
-        }
-        std::fs::create_dir_all(&dir_path)?;
-        // Segments written after the manifest was taken (a crash between
-        // persist and exit leaves them) are not part of this state, and
-        // a stale file at a future sequence number would fail the
-        // create_new spill path — drop them. The directory is private to
-        // one store, so anything unlisted is ours to delete.
-        for entry in std::fs::read_dir(&dir_path)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".wseg") && !names.iter().any(|n| n.as_str() == name) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-        let mut cold = Vec::with_capacity(names.len());
-        for name in &names {
-            cold.push(Segment::open(&dir_path.join(name))?);
-        }
-        let hot = ClockTable::with_budget(config.mem_bytes);
-        let mut store = TieredVisits {
-            front: SplitBloom::with_capacity((nums[0] as usize * 2).max(hot.capacity())),
-            hot,
-            cold,
-            dir: SpillDir { path: dir_path, owned: false, next_seq },
-            distinct: nums[0] as usize,
-            max_distinct: nums[1] as usize,
-            max_resident: nums[2] as usize,
-            spilled: nums[3] as usize,
-            max_spilled: nums[4] as usize,
-            spill_pairs: nums[5],
-            spill_segments: nums[6],
-            compactions: nums[7],
-            spill_ns: 0,
-            compact_ns: 0,
-            bloom_skips: Cell::new(nums[8]),
-            cold_probes: Cell::new(nums[9]),
-            config,
-        };
-        // rebuild the front from the tier that can enumerate members
-        let mut front = std::mem::replace(&mut store.front, SplitBloom::with_capacity(64));
-        for seg in &store.cold {
-            let mut it = seg.stream();
-            while let Some((k, _)) = it.next_entry()? {
+            while let Some((k, _)) =
+                it.next_entry().map_err(|e| failed("Bloom rebuild scan of", seg.path(), e))?
+            {
                 front.insert(k);
             }
         }
-        store.front = front;
-        Ok(store)
+        self.front = front;
+        Ok(())
     }
 
     /// Spill directory in use (diagnostics and tests).
@@ -528,17 +393,6 @@ impl TieredVisits {
     /// Cold segments currently open (diagnostics and tests).
     pub fn segment_count(&self) -> usize {
         self.cold.len()
-    }
-}
-
-impl Drop for TieredVisits {
-    fn drop(&mut self) {
-        if !self.dir.owned {
-            return; // persisted (or user-directed) segments stay
-        }
-        for seg in self.cold.drain(..) {
-            let _ = std::fs::remove_file(seg.path());
-        }
     }
 }
 
@@ -558,15 +412,15 @@ mod tests {
     #[test]
     fn marks_behave_like_a_visit_table_without_spilling() {
         let mut t = TieredVisits::new(TierConfig::default()).unwrap();
-        assert!(!t.mark(0, STICK)); // key 0 is a valid pair
-        assert!(t.mark(0, STICK));
-        assert!(!t.is_marked(0, CANDY));
-        assert!(!t.mark(0, CANDY));
-        assert!(t.is_marked(0, CANDY));
+        assert!(!t.mark(0, STICK).unwrap()); // key 0 is a valid pair
+        assert!(t.mark(0, STICK).unwrap());
+        assert!(!t.is_marked(0, CANDY).unwrap());
+        assert!(!t.mark(0, CANDY).unwrap());
+        assert!(t.is_marked(0, CANDY).unwrap());
         assert_eq!(t.max_distinct(), 1);
         t.clear();
-        assert!(!t.is_marked(0, STICK));
-        assert!(!t.mark(0, STICK));
+        assert!(!t.is_marked(0, STICK).unwrap());
+        assert!(!t.mark(0, STICK).unwrap());
         assert_eq!(t.max_distinct(), 1);
     }
 
@@ -575,7 +429,7 @@ mod tests {
         let mut t = TieredVisits::new(tiny()).unwrap();
         let n = 5000u64;
         for k in 0..n {
-            assert!(!t.mark(k, STICK), "first mark of {k} is fresh");
+            assert!(!t.mark(k, STICK).unwrap(), "first mark of {k} is fresh");
         }
         let c = t.counters();
         assert!(c.spill_segments > 0, "tiny budget must spill");
@@ -585,16 +439,16 @@ mod tests {
         assert_eq!(t.max_distinct(), n as usize);
         // every key still answers, resident or spilled
         for k in 0..n {
-            assert!(t.is_marked(k, STICK), "key {k} lost after spill");
-            assert!(!t.is_marked(k, CANDY));
+            assert!(t.is_marked(k, STICK).unwrap(), "key {k} lost after spill");
+            assert!(!t.is_marked(k, CANDY).unwrap());
         }
         // re-marking is a hit everywhere, and candy is independent
         for k in 0..n {
-            assert!(t.mark(k, STICK), "re-mark of {k} must hit");
+            assert!(t.mark(k, STICK).unwrap(), "re-mark of {k} must hit");
         }
         for k in (0..n).step_by(7) {
-            assert!(!t.mark(k, CANDY), "candy bit of {k} was never set");
-            assert!(t.is_marked(k, CANDY));
+            assert!(!t.mark(k, CANDY).unwrap(), "candy bit of {k} was never set");
+            assert!(t.is_marked(k, CANDY).unwrap());
         }
         assert_eq!(t.max_distinct(), n as usize, "no double counting across tiers");
     }
@@ -603,7 +457,7 @@ mod tests {
     fn clear_deletes_segments_and_resets_membership() {
         let mut t = TieredVisits::new(tiny()).unwrap();
         for k in 0..2000u64 {
-            t.mark(k, STICK);
+            t.mark(k, STICK).unwrap();
         }
         assert!(t.segment_count() > 0);
         let dir = t.spill_path().to_path_buf();
@@ -612,7 +466,7 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "segment files deleted");
         assert_eq!(t.spilled(), 0);
         for k in 0..2000u64 {
-            assert!(!t.is_marked(k, STICK));
+            assert!(!t.is_marked(k, STICK).unwrap());
         }
         assert_eq!(t.max_distinct(), 2000, "historic max survives clear");
         assert!(t.max_spilled() > 0);
@@ -623,7 +477,8 @@ mod tests {
         let run = || {
             let mut t = TieredVisits::new(tiny()).unwrap();
             for k in 0..3000u64 {
-                t.mark(k.wrapping_mul(0x9e3779b97f4a7c15), if k % 2 == 0 { STICK } else { CANDY });
+                t.mark(k.wrapping_mul(0x9e3779b97f4a7c15), if k % 2 == 0 { STICK } else { CANDY })
+                    .unwrap();
             }
             (t.counters(), t.max_resident(), t.max_spilled(), t.max_distinct())
         };
@@ -640,15 +495,15 @@ mod tests {
         assert_ne!(a.spill_path(), b.spill_path(), "each store gets a private subdirectory");
         // interleaved spilling from both stores: even keys in a, odd in b
         for k in 0..3000u64 {
-            a.mark(k * 2, STICK);
-            b.mark(k * 2 + 1, CANDY);
+            a.mark(k * 2, STICK).unwrap();
+            b.mark(k * 2 + 1, CANDY).unwrap();
         }
         assert!(a.counters().spill_segments > 0 && b.counters().spill_segments > 0);
         for k in 0..3000u64 {
-            assert!(a.is_marked(k * 2, STICK), "a lost its own key {k}");
-            assert!(!a.is_marked(k * 2 + 1, CANDY), "b's marks leaked into a");
-            assert!(b.is_marked(k * 2 + 1, CANDY), "b lost its own key {k}");
-            assert!(!b.is_marked(k * 2, STICK), "a's marks leaked into b");
+            assert!(a.is_marked(k * 2, STICK).unwrap(), "a lost its own key {k}");
+            assert!(!a.is_marked(k * 2 + 1, CANDY).unwrap(), "b's marks leaked into a");
+            assert!(b.is_marked(k * 2 + 1, CANDY).unwrap(), "b lost its own key {k}");
+            assert!(!b.is_marked(k * 2, STICK).unwrap(), "a's marks leaked into b");
         }
         drop(a);
         drop(b);
@@ -661,50 +516,36 @@ mod tests {
     }
 
     #[test]
-    fn persist_reopen_round_trips_marks_and_counters() {
-        let dir = std::env::temp_dir().join(format!("wave-tier-rt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = TierConfig { spill_dir: Some(dir.clone()), ..tiny() };
-        let mut t = TieredVisits::new(config.clone()).unwrap();
-        for k in 0..2500u64 {
-            t.mark(k * 11, STICK);
-        }
-        for k in 0..500u64 {
-            t.mark(k * 11, CANDY);
-        }
-        let before = (t.counters(), t.max_distinct(), t.max_spilled());
-        let blob = t.persist().unwrap();
-        drop(t);
-        let r = TieredVisits::reopen(config, &blob).unwrap();
-        assert_eq!((r.counters(), r.max_distinct(), r.max_spilled()), before);
-        for k in 0..2500u64 {
-            assert!(r.is_marked(k * 11, STICK), "stick mark of {k} lost in round trip");
-            assert_eq!(r.is_marked(k * 11, CANDY), k < 500);
-        }
-        assert!(!r.is_marked(3, STICK), "absent keys stay absent");
-        drop(r);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_rejects_corrupt_manifests() {
-        let mut t = TieredVisits::new(TierConfig::default()).unwrap();
-        t.mark(1, STICK);
-        let mut blob = t.persist().unwrap();
-        let last = blob.len() - 1;
-        blob[last] ^= 0xff;
-        assert!(TieredVisits::reopen(TierConfig::default(), &blob).is_err());
-    }
-
-    #[test]
     fn unnamed_spill_dir_is_removed_on_drop() {
         let mut t = TieredVisits::new(tiny()).unwrap();
         for k in 0..2000u64 {
-            t.mark(k, STICK);
+            t.mark(k, STICK).unwrap();
         }
         let dir = t.spill_path().to_path_buf();
         assert!(dir.exists());
         drop(t);
         assert!(!dir.exists(), "private spill dir should be cleaned up");
+    }
+
+    #[test]
+    fn spill_failure_is_an_error_naming_the_segment() {
+        let mut t = TieredVisits::new(tiny()).unwrap();
+        let mut k = 0u64;
+        while t.counters().spill_segments == 0 {
+            t.mark(k, STICK).unwrap();
+            k += 1;
+        }
+        let dir = t.spill_path().to_path_buf();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = loop {
+            match t.mark(k, STICK) {
+                Ok(_) => k += 1,
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let msg = err.to_string();
+        assert!(msg.starts_with("tiered store: spill to "), "{msg}");
+        assert!(msg.contains(&dir.display().to_string()), "names the spill path: {msg}");
     }
 }

@@ -183,19 +183,8 @@ impl Server {
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         handle_connection(stream, &svc, &shutdown, &config, local)
                     }));
-                    match outcome {
-                        Err(_) => svc.metrics().handler_panics_total.inc(),
-                        Ok(Err(e))
-                            if matches!(
-                                e.kind(),
-                                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                            ) =>
-                        {
-                            // read timeouts surface as WouldBlock on unix,
-                            // TimedOut on windows; write timeouts likewise
-                            svc.metrics().conn_timeouts_total.inc()
-                        }
-                        _ => {}
+                    if outcome.is_err() {
+                        svc.metrics().handler_panics_total.inc();
                     }
                 })
                 .expect("spawn connection handler");
@@ -241,9 +230,30 @@ fn handle_connection(
     // dec on every exit path, including `?` returns
     let _guard = ConnectionGuard(svc);
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
+    let served = serve_lines(&mut reader, &mut writer, svc, shutdown, config, local);
+    if let Err(e) = &served {
+        // read timeouts surface as WouldBlock on unix, TimedOut on
+        // windows; write timeouts likewise. Counted while the socket is
+        // still open, so a client that sees the close reads the count.
+        if matches!(e.kind(), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock) {
+            svc.metrics().conn_timeouts_total.inc();
+        }
+    }
+    served
+}
+
+/// The request loop of one connection; a timeout or disconnect ends it.
+fn serve_lines(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    svc: &VerifyService,
+    shutdown: &AtomicBool,
+    config: &ServerConfig,
+    local: SocketAddr,
+) -> io::Result<()> {
     for line in reader.lines() {
-        let line = line?; // timeout or disconnect ends the session
+        let line = line?;
         let line = line.trim();
         if line.is_empty() {
             continue;

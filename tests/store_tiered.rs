@@ -163,6 +163,35 @@ fn forced_spill_matches_interned_on_the_subsets() {
     }
 }
 
+/// The benchmark's read half: E1/P4 at a 1 MiB hot tier spills three
+/// segments, never compacts, and then probes the cold tier 9 514 times.
+/// Eviction order decides every one of these counters, so any change
+/// to the hot tier's positions or sweep shows here before the
+/// benchmark's traced run reports counter drift. Release only: E1/P4
+/// through the tiered store is seconds of debug-build search.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn e1_p4_read_half_counters_at_one_mib() {
+    let suite = suite("E1");
+    let case = suite.properties.iter().find(|c| c.name == "P4").expect("E1 has P4");
+    let params = TierParams { mem_bytes: 1 << 20, spill_dir: None };
+    let options =
+        VerifyOptions { state_store: StateStoreKind::Tiered(params), ..Default::default() };
+    let verifier = Verifier::with_options(suite.spec.clone(), options).expect("suite compiles");
+    let stats = verifier.check_str(&case.text).expect("check runs").stats;
+    let p = &stats.profile;
+    assert_eq!(
+        (stats.max_resident, stats.max_spilled),
+        (49152, 49152),
+        "E1/P4 @1 MiB (max_resident, max_spilled)"
+    );
+    assert_eq!(
+        (p.spill_pairs, p.spill_segments, p.spill_compactions, p.cold_probes),
+        (49152, 3, 0, 9514),
+        "E1/P4 @1 MiB (spill_pairs, spill_segments, spill_compactions, cold_probes)"
+    );
+}
+
 /// A multi-unit workload (Heuristic 1 off widens the unit fan-out, the
 /// constant disjuncts widen the `C_∃` assignments) so checkpoints land
 /// mid-search — the same shape the core checkpoint tests use.
