@@ -1,5 +1,5 @@
-//! Delta-driven query memoization and the per-core optimized plan
-//! overlay — the "query engine" side of the search.
+//! Delta-driven query memoization — the "query engine" side of the
+//! search.
 //!
 //! The NDFS expands enormously many pseudoconfigurations that differ in
 //! only one or two fact sections: every successor of one expansion
@@ -36,8 +36,8 @@
 use crate::config::{PseudoConfig, SharedFacts};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use wave_relalg::{ExecStats, Instance, InstanceStats, Params, PreparedQuery, Relation, Tuple};
-use wave_spec::{sections, CompiledComponent, CompiledSpec, ReadProfile, RuleExec, TargetExec};
+use wave_relalg::{Instance, Params, PreparedQuery, Relation, Tuple};
+use wave_spec::{sections, ReadProfile};
 
 /// Insert caps keeping the tables bounded on pathological searches.
 /// Hitting a cap degrades hit-rate, never correctness.
@@ -114,9 +114,6 @@ pub struct QueryCost {
     pub exec_ns: u64,
     /// Output rows produced by executions.
     pub rows: u64,
-    pub hash_builds: u64,
-    pub rows_built: u64,
-    pub rows_probed: u64,
 }
 
 impl QueryCost {
@@ -127,9 +124,6 @@ impl QueryCost {
         self.memo_misses += other.memo_misses;
         self.exec_ns += other.exec_ns;
         self.rows += other.rows;
-        self.hash_builds += other.hash_builds;
-        self.rows_built += other.rows_built;
-        self.rows_probed += other.rows_probed;
     }
 
     /// Memo hit rate over engine-routed calls, `None` before any call.
@@ -143,15 +137,11 @@ impl QueryCost {
     }
 }
 
-/// Per-core query engine: the optimized plan overlay plus the
-/// delta-driven result memo. Owned by `SearchCtx`; uses interior
-/// mutability because the search holds the context by shared reference.
+/// Per-core query engine: the delta-driven result memo over the
+/// prepared queries the search hands it. Owned by `SearchCtx`; uses
+/// interior mutability because the search holds the context by shared
+/// reference.
 pub struct QueryEngine {
-    /// Optimized plans indexed by query id; `None` falls back to the
-    /// compiled plan (or the slot belongs to an interpreted rule).
-    /// Empty when the engine is disabled (`--naive-joins`,
-    /// `--interpret`).
-    plans: Vec<Option<PreparedQuery>>,
     memo_enabled: bool,
     epochs: RefCell<EpochTable>,
     memo: RefCell<HashMap<MemoKey, MemoVal>>,
@@ -160,59 +150,19 @@ pub struct QueryEngine {
     /// Inserts dropped because the memo hit its cap (the memo never
     /// evicts resident entries; "eviction" in the trace-event sense).
     memo_evictions: Cell<u64>,
-    join_builds: Cell<u64>,
     /// Per-qid cost roll-ups; empty unless built with `profiled`.
     profiled: bool,
     costs: RefCell<Vec<QueryCost>>,
 }
 
 impl QueryEngine {
-    /// Build the engine for one search core over the spec's rules and
-    /// targets. When `enabled`, every plan-compiled rule and target is
-    /// re-optimized against cardinality statistics collected from
-    /// `base`, and the result memo is armed; otherwise both stay off
-    /// (the `--naive-joins` ablation and the `--interpret` baseline).
-    pub fn build(spec: &CompiledSpec, base: &Instance, enabled: bool) -> QueryEngine {
-        QueryEngine::build_profiled(spec, base, &[], enabled, false)
-    }
-
-    /// [`QueryEngine::build`], also covering a check's compiled property
-    /// `components` (query ids `num_queries..`), and optionally arming
-    /// the per-qid cost roll-ups ([`QueryEngine::query_costs`]).
-    /// Profiling adds one clock read per execution; answers are
-    /// unaffected.
-    pub fn build_profiled(
-        spec: &CompiledSpec,
-        base: &Instance,
-        components: &[CompiledComponent],
-        enabled: bool,
-        profiled: bool,
-    ) -> QueryEngine {
-        let num_queries = spec.num_queries as usize + components.len();
-        let mut plans = Vec::new();
-        if enabled {
-            let stats = InstanceStats::collect(base);
-            plans.resize_with(num_queries, || None);
-            for page in &spec.pages {
-                for rule in
-                    page.option_rules.iter().chain(&page.state_rules).chain(&page.action_rules)
-                {
-                    if let RuleExec::Plan(q) = &rule.exec {
-                        plans[rule.reads.qid as usize] = Some(q.optimized(&spec.schema, &stats));
-                    }
-                }
-                for t in &page.target_rules {
-                    if let TargetExec::Plan(q) = &t.exec {
-                        plans[t.reads.qid as usize] = Some(q.optimized(&spec.schema, &stats));
-                    }
-                }
-            }
-            for c in components {
-                if let TargetExec::Plan(q) = &c.exec {
-                    plans[c.reads.qid as usize] = Some(q.optimized(&spec.schema, &stats));
-                }
-            }
-        }
+    /// Build the engine for one search core over `num_queries` query
+    /// ids (a spec's rules and targets, then a check's property
+    /// components). `memo` arms the result memo (off under
+    /// `--naive-joins` and `--interpret`); `profiled` arms the per-qid
+    /// cost roll-ups ([`QueryEngine::query_costs`]), which add one clock
+    /// read per execution and leave answers unaffected.
+    pub fn new(num_queries: usize, memo: bool, profiled: bool) -> QueryEngine {
         let mut costs = Vec::new();
         if profiled {
             costs.resize_with(num_queries, QueryCost::default);
@@ -221,14 +171,12 @@ impl QueryEngine {
             }
         }
         QueryEngine {
-            plans,
-            memo_enabled: enabled,
+            memo_enabled: memo,
             epochs: RefCell::new(EpochTable::default()),
             memo: RefCell::new(HashMap::new()),
             memo_hits: Cell::new(0),
             memo_misses: Cell::new(0),
             memo_evictions: Cell::new(0),
-            join_builds: Cell::new(0),
             profiled,
             costs: RefCell::new(costs),
         }
@@ -243,12 +191,6 @@ impl QueryEngine {
         if let Some(c) = costs.get_mut(qid as usize) {
             f(c);
         }
-    }
-
-    /// The plan to execute for query `qid`: the optimized overlay when
-    /// present, else the compiled plan the caller holds.
-    fn plan_for<'q>(&'q self, qid: u32, compiled: &'q PreparedQuery) -> &'q PreparedQuery {
-        self.plans.get(qid as usize).and_then(Option::as_ref).unwrap_or(compiled)
     }
 
     /// The memo key for running `reads` against `cfg`, or `None` when
@@ -357,19 +299,14 @@ impl QueryEngine {
         inst: &Instance,
         params: &Params,
     ) -> Result<Relation, wave_relalg::ExecError> {
-        let mut stats = ExecStats::default();
         let t0 = if self.profiled { Some(std::time::Instant::now()) } else { None };
-        let rel = self.plan_for(qid, compiled).run_counting(inst, params, &mut stats)?;
-        self.join_builds.set(self.join_builds.get() + stats.hash_builds);
+        let rel = compiled.run(inst, params)?;
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             self.cost_mut(qid, |c| {
                 c.calls += 1;
                 c.exec_ns += ns;
                 c.rows += rel.len() as u64;
-                c.hash_builds += stats.hash_builds;
-                c.rows_built += stats.rows_built;
-                c.rows_probed += stats.rows_probed;
             });
         }
         Ok(rel)
@@ -386,11 +323,6 @@ impl QueryEngine {
         self.memo_misses.get()
     }
 
-    /// Hash tables built by lowered join operators.
-    pub fn join_builds(&self) -> u64 {
-        self.join_builds.get()
-    }
-
     /// Memo inserts dropped at the capacity cap (see the field docs —
     /// the memo never evicts resident entries).
     pub fn memo_evictions(&self) -> u64 {
@@ -398,7 +330,7 @@ impl QueryEngine {
     }
 
     /// Per-qid cost roll-ups with at least one engine-routed call.
-    /// Empty unless built with [`QueryEngine::build_profiled`].
+    /// Empty unless built with `profiled` on.
     pub fn query_costs(&self) -> Vec<QueryCost> {
         self.costs.borrow().iter().filter(|c| c.calls > 0).cloned().collect()
     }
@@ -410,7 +342,7 @@ mod tests {
     use crate::config::{canonicalize, core_instance, no_facts, Facts};
     use std::sync::Arc;
     use wave_relalg::Value;
-    use wave_spec::{parse_spec, CompiledRule, PageId};
+    use wave_spec::{parse_spec, CompiledRule, CompiledSpec, PageId, RuleExec};
 
     fn spec() -> CompiledSpec {
         CompiledSpec::compile(
@@ -464,7 +396,7 @@ mod tests {
         let s = spec();
         let core: Facts = vec![fact(&s, "item", &[1]), fact(&s, "item", &[2])];
         let base = core_instance(&s, &core);
-        let engine = QueryEngine::build(&s, &base, true);
+        let engine = QueryEngine::new(s.num_queries as usize, true, false);
 
         let mut cfg = PseudoConfig::initial(PageId(0));
         cfg.state = Arc::new(canonicalize(vec![fact(&s, "seen", &[1])]));
@@ -492,7 +424,7 @@ mod tests {
         let s = spec();
         let core: Facts = vec![fact(&s, "item", &[1])];
         let base = core_instance(&s, &core);
-        let engine = QueryEngine::build(&s, &base, true);
+        let engine = QueryEngine::new(s.num_queries as usize, true, false);
         let rule = option_rule(&s);
         // The option rule reads only the database extension; state is
         // outside its mask.
@@ -519,16 +451,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_engine_neither_memoizes_nor_optimizes() {
+    fn disabled_engine_does_not_memoize() {
         let s = spec();
         let base = core_instance(&s, &vec![fact(&s, "item", &[1])]);
-        let engine = QueryEngine::build(&s, &base, false);
+        let engine = QueryEngine::new(s.num_queries as usize, false, false);
         let cfg = PseudoConfig { input: no_facts(), ..PseudoConfig::initial(PageId(0)) };
         let a = run(&engine, &s, &base, &cfg);
         let b = run(&engine, &s, &base, &cfg);
         assert_eq!(a, b);
         assert_eq!(engine.memo_hits(), 0);
         assert_eq!(engine.memo_misses(), 0);
-        assert!(engine.plans.is_empty(), "no optimized overlay when disabled");
     }
 }

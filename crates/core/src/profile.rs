@@ -104,8 +104,10 @@ search_profile! {
     memo_hits,
     /// Memoized rule/target evaluations that had to execute the plan.
     memo_misses,
-    /// Hash tables built by lowered hash-join operators (zero under
-    /// `--naive-joins`, which keeps every join nested-loop).
+    /// Retired: always 0. It counted hash tables built by hash-join
+    /// operators, which are gone (every join is a nested loop). The
+    /// field stays so the record key, the cache/fleet codec, the
+    /// checkpoint layout and the bench columns keep their shape.
     join_builds,
     /// Rules (targets included) the wave-flow slice removed from the
     /// search (dead guards + unreachable pages). Stamped once per check

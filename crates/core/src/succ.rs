@@ -111,7 +111,7 @@ pub struct SearchCtx<'a> {
     /// delete fast-path flags. The identity slice under `--no-slice`;
     /// every skip it licenses is runtime-inert (see [`crate::SliceInfo`]).
     pub slice: std::sync::Arc<crate::slice::SliceInfo>,
-    /// Optimized-plan overlay and delta-driven result memo for this core
+    /// Delta-driven result memo for this core
     /// (holds interior mutability, so a context is built per worker).
     pub engine: QueryEngine,
 }

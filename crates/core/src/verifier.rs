@@ -70,11 +70,12 @@ pub struct VerifyOptions {
     /// traces and search statistics are identical; only speed and memory
     /// differ (result caches must therefore ignore it, like `cancel`).
     pub state_store: StateStoreKind,
-    /// Query-engine ablation: when true, skip the cardinality-guided plan
-    /// optimizer (so every join stays nested-loop) and the delta-driven
-    /// result memo. Semantics-neutral like `state_store` — verdicts,
-    /// traces and deterministic statistics are identical; only speed and
-    /// the memo/join profile counters differ (result caches ignore it).
+    /// Query-memo ablation: when true, the delta-driven result memo is
+    /// off and every plan runs at every evaluation (plans are the same
+    /// either way: push-down runs once, when each query is prepared).
+    /// Semantics-neutral like `state_store` — verdicts, traces and
+    /// deterministic statistics are identical; only speed and the memo
+    /// profile counters differ (result caches ignore it).
     pub naive_joins: bool,
     /// Cooperative cancellation: when the token is raised mid-search the
     /// check stops with [`Verdict::Unknown`]`(`[`Budget::Cancelled`]`)`.
@@ -703,11 +704,8 @@ impl PreparedCheck<'_> {
     ) -> SearchCtx<'c> {
         let spec = &self.verifier.spec;
         let options = &self.verifier.options;
-        let base = core_instance(spec, core);
-        let engine = QueryEngine::build_profiled(
-            spec,
-            &base,
-            components,
+        let engine = QueryEngine::new(
+            spec.num_queries as usize + components.len(),
             options.use_plans && !options.naive_joins,
             profiled,
         );
@@ -717,7 +715,7 @@ impl PreparedCheck<'_> {
             pools: &self.pools,
             flow,
             c_values: c_values.to_vec(),
-            base,
+            base: core_instance(spec, core),
             pruning: options.pruning,
             heuristic2: options.heuristic2,
             use_plans: options.use_plans,
@@ -838,7 +836,6 @@ impl PreparedCheck<'_> {
             stats.profile.add(&search_stats.profile);
             stats.profile.memo_hits += ctx.engine.memo_hits();
             stats.profile.memo_misses += ctx.engine.memo_misses();
-            stats.profile.join_builds += ctx.engine.join_builds();
             if O::EVENTS {
                 let (hits, misses) = (ctx.engine.memo_hits(), ctx.engine.memo_misses());
                 if hits + misses > 0 {
@@ -849,10 +846,6 @@ impl PreparedCheck<'_> {
                         misses,
                         evictions: ctx.engine.memo_evictions(),
                     });
-                }
-                let builds = ctx.engine.join_builds();
-                if builds > 0 {
-                    obs.event(TraceEvent::JoinBuild { unit: unit as u32, core: bitmap, builds });
                 }
             }
             if O::SPANS {

@@ -44,10 +44,12 @@ use std::time::Instant;
 /// * **v1** — intern / options / expand / transition / phase / core /
 ///   cycle / budget (/ spill, added late in v1 without a golden pin).
 /// * **v2** — adds the query-engine and out-of-core event kinds:
-///   `memo` (per-core hit/miss/evict deltas), `join_build` (per-core
-///   hash-join builds), and `compact` (cold-tier merge compactions,
-///   split out of the aggregate `spill` event). v1 lines decode as a
-///   strict subset — consumers that accept v2 must accept v1.
+///   `memo` (per-core hit/miss/evict deltas) and `compact` (cold-tier
+///   merge compactions, split out of the aggregate `spill` event). v1
+///   lines decode as a strict subset — consumers that accept v2 must
+///   accept v1. Early v2 writers also emitted `join_build` (per-core
+///   hash-join builds); the hash join is gone, no writer emits it now,
+///   and readers skip it like any unknown tag.
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// One structured search event. All payloads are plain integers (plus
@@ -99,10 +101,6 @@ pub enum TraceEvent {
     /// capacity cap (the memo never evicts resident entries).
     /// Fields: `unit`, `core`, `hits`, `misses`, `evictions`.
     Memo { unit: u32, core: u64, hits: u64, misses: u64, evictions: u64 },
-    /// Hash-join builds run by the query engine during one core's
-    /// search (emitted per core, aggregated).
-    /// Fields: `unit`, `core`, `builds`.
-    JoinBuild { unit: u32, core: u64, builds: u64 },
     /// Cold-tier merge compactions run during one core's search
     /// (emitted per core, aggregated; absent under in-memory backends).
     /// Fields: `unit`, `core`, `compactions`, `segments` (cold segments
@@ -124,7 +122,6 @@ impl TraceEvent {
             TraceEvent::Budget { .. } => "budget",
             TraceEvent::Spill { .. } => "spill",
             TraceEvent::Memo { .. } => "memo",
-            TraceEvent::JoinBuild { .. } => "join_build",
             TraceEvent::Compact { .. } => "compact",
         }
     }
@@ -171,9 +168,6 @@ impl TraceEvent {
                 s.push_str(&format!(
                     ",\"unit\":{unit},\"core\":{core},\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions}"
                 ));
-            }
-            TraceEvent::JoinBuild { unit, core, builds } => {
-                s.push_str(&format!(",\"unit\":{unit},\"core\":{core},\"builds\":{builds}"));
             }
             TraceEvent::Compact { unit, core, compactions, segments } => {
                 s.push_str(&format!(
@@ -336,11 +330,6 @@ mod tests {
         assert_eq!(
             ev.to_jsonl(7),
             r#"{"v":2,"ev":"memo","unit":0,"core":3,"hits":40,"misses":8,"evictions":0,"t_ns":7}"#
-        );
-        let ev = TraceEvent::JoinBuild { unit: 1, core: 0, builds: 6 };
-        assert_eq!(
-            ev.to_jsonl(2),
-            r#"{"v":2,"ev":"join_build","unit":1,"core":0,"builds":6,"t_ns":2}"#
         );
         let ev = TraceEvent::Compact { unit: 2, core: 9, compactions: 1, segments: 1 };
         assert_eq!(

@@ -1,17 +1,15 @@
 //! Plan execution over an [`Instance`] with bound parameters.
 //!
-//! Execution is a recursive interpreter. Nested loops remain the
-//! baseline for the tiny per-step relations, but the planner in
-//! [`crate::optimize`](mod@crate::optimize) lowers joins to
-//! [`Plan::HashJoin`] when the cardinality statistics say the build side
-//! is large enough to amortize a hash table; both forms canonicalize through
-//! [`Relation::from_tuples`], so they produce byte-identical relations.
+//! Execution is a recursive interpreter, and every join is a nested
+//! loop: the per-step relations it runs over are toy-sized, the regime
+//! the paper describes for its prepared statements. Every operator
+//! canonicalizes its output through [`Relation::from_tuples`], so two
+//! plans that compute the same relation produce byte-identical results.
 
 use crate::instance::Instance;
-use crate::plan::{JoinKind, Plan, Pred, Scalar};
+use crate::plan::{Plan, Pred, Scalar};
 use crate::tuple::{Relation, Tuple};
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Parameter bindings for one execution: positional values plus the
@@ -110,30 +108,8 @@ fn eval_pred(p: &Pred, row: &[Value], params: &Params) -> Result<bool, ExecError
     })
 }
 
-/// Counters accumulated during one execution (fed into the search
-/// profile by the caller).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Hash tables built by [`Plan::HashJoin`] nodes.
-    pub hash_builds: u64,
-    /// Rows inserted into hash-join build tables.
-    pub rows_built: u64,
-    /// Probe-side rows driven through hash-join tables.
-    pub rows_probed: u64,
-}
-
 /// Execute `plan` over `inst` with `params`, producing a relation.
 pub fn execute(plan: &Plan, inst: &Instance, params: &Params) -> Result<Relation, ExecError> {
-    execute_counting(plan, inst, params, &mut ExecStats::default())
-}
-
-/// [`execute`], accumulating operator counters into `stats`.
-pub fn execute_counting(
-    plan: &Plan,
-    inst: &Instance,
-    params: &Params,
-    stats: &mut ExecStats,
-) -> Result<Relation, ExecError> {
     Ok(match plan {
         Plan::Scan(r) => inst.rel(*r).clone(),
         Plan::Values { width, rows } => {
@@ -148,7 +124,7 @@ pub fn execute_counting(
             Relation::from_tuples(*width, out)
         }
         Plan::Select { input, pred } => {
-            let rel = execute_counting(input, inst, params, stats)?;
+            let rel = execute(input, inst, params)?;
             let mut kept = Vec::new();
             for t in rel.iter() {
                 if eval_pred(pred, t.values(), params)? {
@@ -158,7 +134,7 @@ pub fn execute_counting(
             Relation::from_tuples(rel.arity(), kept)
         }
         Plan::Project { input, cols } => {
-            let rel = execute_counting(input, inst, params, stats)?;
+            let rel = execute(input, inst, params)?;
             let mut out = Vec::with_capacity(rel.len());
             for t in rel.iter() {
                 let mut vals = Vec::with_capacity(cols.len());
@@ -170,8 +146,8 @@ pub fn execute_counting(
             Relation::from_tuples(cols.len(), out)
         }
         Plan::Product(l, r) => {
-            let lrel = execute_counting(l, inst, params, stats)?;
-            let rrel = execute_counting(r, inst, params, stats)?;
+            let lrel = execute(l, inst, params)?;
+            let rrel = execute(r, inst, params)?;
             let mut out = Vec::with_capacity(lrel.len() * rrel.len());
             for lt in lrel.iter() {
                 for rt in rrel.iter() {
@@ -183,13 +159,11 @@ pub fn execute_counting(
             }
             Relation::from_tuples(lrel.arity() + rrel.arity(), out)
         }
-        Plan::Union(l, r) => execute_counting(l, inst, params, stats)?
-            .union(&execute_counting(r, inst, params, stats)?),
-        Plan::Difference(l, r) => execute_counting(l, inst, params, stats)?
-            .difference(&execute_counting(r, inst, params, stats)?),
+        Plan::Union(l, r) => execute(l, inst, params)?.union(&execute(r, inst, params)?),
+        Plan::Difference(l, r) => execute(l, inst, params)?.difference(&execute(r, inst, params)?),
         Plan::SemiJoin { left, right, on } => {
-            let lrel = execute_counting(left, inst, params, stats)?;
-            let rrel = execute_counting(right, inst, params, stats)?;
+            let lrel = execute(left, inst, params)?;
+            let rrel = execute(right, inst, params)?;
             let matches = |lt: &Tuple| {
                 rrel.iter().any(|rt| on.iter().all(|&(lc, rc)| lt.get(lc) == rt.get(rc)))
             };
@@ -199,8 +173,8 @@ pub fn execute_counting(
             )
         }
         Plan::AntiJoin { left, right, on } => {
-            let lrel = execute_counting(left, inst, params, stats)?;
-            let rrel = execute_counting(right, inst, params, stats)?;
+            let lrel = execute(left, inst, params)?;
+            let rrel = execute(right, inst, params)?;
             let matches = |lt: &Tuple| {
                 rrel.iter().any(|rt| on.iter().all(|&(lc, rc)| lt.get(lc) == rt.get(rc)))
             };
@@ -208,48 +182,6 @@ pub fn execute_counting(
                 lrel.arity(),
                 lrel.iter().filter(|t| !matches(t)).cloned().collect::<Vec<_>>(),
             )
-        }
-        Plan::HashJoin { left, right, on, kind } => {
-            let lrel = execute_counting(left, inst, params, stats)?;
-            let rrel = execute_counting(right, inst, params, stats)?;
-            stats.hash_builds += 1;
-            stats.rows_built += rrel.len() as u64;
-            stats.rows_probed += lrel.len() as u64;
-            let key = |t: &Tuple, cols: &dyn Fn(&(usize, usize)) -> usize| -> Vec<Value> {
-                on.iter().map(|pair| t.get(cols(pair))).collect()
-            };
-            match kind {
-                JoinKind::Inner => {
-                    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-                    for rt in rrel.iter() {
-                        table.entry(key(rt, &|&(_, rc)| rc)).or_default().push(rt);
-                    }
-                    let mut out = Vec::new();
-                    for lt in lrel.iter() {
-                        if let Some(matches) = table.get(&key(lt, &|&(lc, _)| lc)) {
-                            for rt in matches {
-                                let mut vals = Vec::with_capacity(lt.arity() + rt.arity());
-                                vals.extend_from_slice(lt.values());
-                                vals.extend_from_slice(rt.values());
-                                out.push(Tuple::from(vals));
-                            }
-                        }
-                    }
-                    Relation::from_tuples(lrel.arity() + rrel.arity(), out)
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let table: std::collections::HashSet<Vec<Value>> =
-                        rrel.iter().map(|rt| key(rt, &|&(_, rc)| rc)).collect();
-                    let keep = *kind == JoinKind::Semi;
-                    Relation::from_tuples(
-                        lrel.arity(),
-                        lrel.iter()
-                            .filter(|lt| table.contains(&key(lt, &|&(lc, _)| lc)) == keep)
-                            .cloned()
-                            .collect::<Vec<_>>(),
-                    )
-                }
-            }
         }
     })
 }
@@ -371,78 +303,6 @@ mod tests {
         assert_eq!(execute(&plan, &inst, &params).unwrap().len(), 3);
         params.set_empty(0, false);
         assert_eq!(execute(&plan, &inst, &params).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn hash_joins_match_their_nested_loop_forms() {
-        let (s, inst) = setup();
-        let edge = s.lookup("edge").unwrap();
-        let mark = s.lookup("mark").unwrap();
-        let scan_edge = || Box::new(Plan::Scan(edge));
-        let scan_mark = || Box::new(Plan::Scan(mark));
-
-        // Inner vs Select{Product} with the same equi-predicate.
-        let naive_inner = Plan::Select {
-            input: Box::new(Plan::Product(scan_edge(), scan_mark())),
-            pred: Pred::Eq(Scalar::Col(0), Scalar::Col(2)),
-        };
-        let hash_inner = Plan::HashJoin {
-            left: scan_edge(),
-            right: scan_mark(),
-            on: vec![(0, 0)],
-            kind: JoinKind::Inner,
-        };
-        let mut stats = ExecStats::default();
-        let expected = execute(&naive_inner, &inst, &Params::none()).unwrap();
-        let got = execute_counting(&hash_inner, &inst, &Params::none(), &mut stats).unwrap();
-        assert_eq!(expected, got);
-        assert_eq!(stats.hash_builds, 1);
-
-        // Semi/Anti vs SemiJoin/AntiJoin.
-        for (kind, naive) in [
-            (
-                JoinKind::Semi,
-                Plan::SemiJoin { left: scan_edge(), right: scan_mark(), on: vec![(1, 0)] },
-            ),
-            (
-                JoinKind::Anti,
-                Plan::AntiJoin { left: scan_edge(), right: scan_mark(), on: vec![(1, 0)] },
-            ),
-        ] {
-            let hash =
-                Plan::HashJoin { left: scan_edge(), right: scan_mark(), on: vec![(1, 0)], kind };
-            assert_eq!(
-                execute(&naive, &inst, &Params::none()).unwrap(),
-                execute(&hash, &inst, &Params::none()).unwrap(),
-                "{kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn hash_join_with_empty_on_degenerates_correctly() {
-        let (s, inst) = setup();
-        let edge = s.lookup("edge").unwrap();
-        let mark = s.lookup("mark").unwrap();
-        // Empty key: every left row matches iff the right side is non-empty.
-        let semi = Plan::HashJoin {
-            left: Box::new(Plan::Scan(edge)),
-            right: Box::new(Plan::Scan(mark)),
-            on: vec![],
-            kind: JoinKind::Semi,
-        };
-        assert_eq!(execute(&semi, &inst, &Params::none()).unwrap().len(), 3);
-        let inner = Plan::HashJoin {
-            left: Box::new(Plan::Scan(edge)),
-            right: Box::new(Plan::Scan(mark)),
-            on: vec![],
-            kind: JoinKind::Inner,
-        };
-        let product = Plan::Product(Box::new(Plan::Scan(edge)), Box::new(Plan::Scan(mark)));
-        assert_eq!(
-            execute(&inner, &inst, &Params::none()).unwrap(),
-            execute(&product, &inst, &Params::none()).unwrap()
-        );
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //!   deliberately disk-backed [`engine::DiskEngine`] used only to reproduce
 //!   the paper's DBMS-selection microbenchmark,
 //! * [`plan`]/[`exec`]/[`prepared`]: relational-algebra plans with parameter
-//!   slots, an interpreter, and reusable prepared queries (the JDBC
-//!   prepared-statement equivalent),
-//! * [`stats`]/[`optimize`](mod@optimize): cardinality statistics and the
-//!   planner pass that pushes selections down and lowers joins to hash
-//!   operators when the build side is large enough to pay for the table.
+//!   slots, a nested-loop interpreter, and reusable prepared queries (the
+//!   JDBC prepared-statement equivalent),
+//! * [`optimize`](mod@optimize): the planner pass that pushes selections
+//!   below products, run once per query by [`PreparedQuery::prepare`].
 
 pub mod engine;
 pub mod exec;
@@ -26,17 +25,15 @@ pub mod optimize;
 pub mod plan;
 pub mod prepared;
 pub mod schema;
-pub mod stats;
 pub mod tuple;
 pub mod value;
 
 pub use engine::{DiskEngine, MemoryEngine, StorageEngine};
-pub use exec::{execute, execute_counting, ExecError, ExecStats, Params};
+pub use exec::{execute, ExecError, Params};
 pub use instance::Instance;
-pub use optimize::{optimize, HASH_BUILD_THRESHOLD};
-pub use plan::{JoinKind, Plan, PlanError, PlanReads, Pred, Scalar};
+pub use optimize::optimize;
+pub use plan::{Plan, PlanError, PlanReads, Pred, Scalar};
 pub use prepared::PreparedQuery;
 pub use schema::{RelDecl, RelId, RelKind, Schema};
-pub use stats::InstanceStats;
 pub use tuple::{Relation, Tuple, TupleInterner};
 pub use value::{SymbolTable, Value, ValueKind};

@@ -1,42 +1,27 @@
-//! Cardinality-guided plan rewriting.
+//! Selection push-down, the one rewrite the planner makes.
 //!
 //! The compiler in `wave-fol` emits straightforward plans —
 //! `Select{Product}` chains for conjunctive bodies, `SemiJoin`/`AntiJoin`
 //! for guarded quantifiers — and the search re-executes them millions of
-//! times. This pass rewrites a compiled plan against an
-//! [`InstanceStats`] snapshot of the per-core base instance:
+//! times. Conjuncts of a `Select` above a `Product` that mention only
+//! one side's columns move below the product, so filters run before the
+//! quadratic blow-up instead of after; cross-side equalities lead the
+//! conjunction that stays above it.
 //!
-//! 1. **Selection push-down**: conjuncts of a `Select` above a `Product`
-//!    that mention only one side's columns move below the product, so
-//!    filters run before the quadratic blow-up instead of after.
-//! 2. **Hash lowering, cheapest-build-first**: a `Select{Product}` whose
-//!    conjuncts include cross-side equalities becomes a
-//!    [`Plan::HashJoin`] keyed on those columns, with the smaller
-//!    (estimated) side as the hash build side; `SemiJoin`/`AntiJoin`
-//!    lower to their hash forms when their (fixed) right build side is
-//!    large enough. Lowering only fires when the relevant estimate
-//!    clears [`HASH_BUILD_THRESHOLD`] rows — below that the nested loop
-//!    wins on constant factors, which is exactly the "toy-sized
-//!    database" regime the paper describes.
-//!
+//! The rewrite reads no data, so [`PreparedQuery::prepare`] runs it once
+//! per query, the way a DBMS plans a statement when it prepares it.
 //! Every rewrite is an algebraic identity over canonical relations, so
-//! the optimized plan returns byte-identical results; `--naive-joins`
-//! skips this pass entirely for the ablation benchmarks.
+//! the rewritten plan returns byte-identical results.
+//!
+//! [`PreparedQuery::prepare`]: crate::prepared::PreparedQuery::prepare
 
-use crate::plan::{JoinKind, Plan, Pred, Scalar};
+use crate::plan::{Plan, Pred, Scalar};
 use crate::schema::Schema;
-use crate::stats::InstanceStats;
 
-/// Minimum estimated rows before a join is lowered to hash form. Small
-/// enough that genuine database relations qualify, large enough that
-/// the one-or-two-tuple input/state relations keep the cheaper nested
-/// loop.
-pub const HASH_BUILD_THRESHOLD: f64 = 8.0;
-
-/// Rewrite `plan` using `stats`; the result computes the same relation
-/// over every instance of `schema`.
-pub fn optimize(plan: &Plan, schema: &Schema, stats: &InstanceStats) -> Plan {
-    rewrite(plan.clone(), schema, stats)
+/// Rewrite `plan` with selections pushed down; the result computes the
+/// same relation over every instance of `schema`.
+pub fn optimize(plan: &Plan, schema: &Schema) -> Plan {
+    push_down(plan.clone(), schema)
 }
 
 /// Output width of an already-validated plan.
@@ -49,70 +34,24 @@ fn width(plan: &Plan, schema: &Schema) -> usize {
         Plan::Product(l, r) => width(l, schema) + width(r, schema),
         Plan::Union(l, _) | Plan::Difference(l, _) => width(l, schema),
         Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } => width(left, schema),
-        Plan::HashJoin { left, right, kind, .. } => match kind {
-            JoinKind::Inner => width(left, schema) + width(right, schema),
-            JoinKind::Semi | JoinKind::Anti => width(left, schema),
-        },
     }
 }
 
-fn rewrite(plan: Plan, schema: &Schema, stats: &InstanceStats) -> Plan {
+/// [`optimize`] on an owned, already-validated plan.
+pub(crate) fn push_down(plan: Plan, schema: &Schema) -> Plan {
+    let down = |p: Box<Plan>| Box::new(push_down(*p, schema));
     match plan {
         Plan::Scan(_) | Plan::Values { .. } => plan,
-        Plan::Select { input, pred } => {
-            let input = rewrite(*input, schema, stats);
-            lower_select(input, pred, schema, stats)
-        }
-        Plan::Project { input, cols } => {
-            Plan::Project { input: Box::new(rewrite(*input, schema, stats)), cols }
-        }
-        Plan::Product(l, r) => Plan::Product(
-            Box::new(rewrite(*l, schema, stats)),
-            Box::new(rewrite(*r, schema, stats)),
-        ),
-        Plan::Union(l, r) => {
-            Plan::Union(Box::new(rewrite(*l, schema, stats)), Box::new(rewrite(*r, schema, stats)))
-        }
-        Plan::Difference(l, r) => Plan::Difference(
-            Box::new(rewrite(*l, schema, stats)),
-            Box::new(rewrite(*r, schema, stats)),
-        ),
+        Plan::Select { input, pred } => push_select(push_down(*input, schema), pred, schema),
+        Plan::Project { input, cols } => Plan::Project { input: down(input), cols },
+        Plan::Product(l, r) => Plan::Product(down(l), down(r)),
+        Plan::Union(l, r) => Plan::Union(down(l), down(r)),
+        Plan::Difference(l, r) => Plan::Difference(down(l), down(r)),
         Plan::SemiJoin { left, right, on } => {
-            let left = rewrite(*left, schema, stats);
-            let right = rewrite(*right, schema, stats);
-            lower_filter_join(left, right, on, JoinKind::Semi, stats)
+            Plan::SemiJoin { left: down(left), right: down(right), on }
         }
         Plan::AntiJoin { left, right, on } => {
-            let left = rewrite(*left, schema, stats);
-            let right = rewrite(*right, schema, stats);
-            lower_filter_join(left, right, on, JoinKind::Anti, stats)
-        }
-        Plan::HashJoin { left, right, on, kind } => Plan::HashJoin {
-            left: Box::new(rewrite(*left, schema, stats)),
-            right: Box::new(rewrite(*right, schema, stats)),
-            on,
-            kind,
-        },
-    }
-}
-
-/// Semi/anti joins already build on the right; switch to the hash form
-/// when that build side is big enough. (Sides are fixed by semantics —
-/// only inner joins get to pick the build side.)
-fn lower_filter_join(
-    left: Plan,
-    right: Plan,
-    on: Vec<(usize, usize)>,
-    kind: JoinKind,
-    stats: &InstanceStats,
-) -> Plan {
-    if !on.is_empty() && stats.estimate(&right) >= HASH_BUILD_THRESHOLD {
-        Plan::HashJoin { left: Box::new(left), right: Box::new(right), on, kind }
-    } else {
-        match kind {
-            JoinKind::Semi => Plan::SemiJoin { left: Box::new(left), right: Box::new(right), on },
-            JoinKind::Anti => Plan::AntiJoin { left: Box::new(left), right: Box::new(right), on },
-            JoinKind::Inner => unreachable!("inner joins lower via lower_select"),
+            Plan::AntiJoin { left: down(left), right: down(right), on }
         }
     }
 }
@@ -194,19 +133,19 @@ fn select(input: Plan, pred: Pred) -> Plan {
     }
 }
 
-/// Apply pushed-down conjuncts to a side, re-entering the lowering so a
-/// pushed select can itself enable a nested rewrite.
-fn apply_pushed(side: Plan, preds: Vec<Pred>, schema: &Schema, stats: &InstanceStats) -> Plan {
+/// Apply pushed-down conjuncts to a side, re-entering the push-down so
+/// a pushed select can itself enable a nested one.
+fn apply_pushed(side: Plan, preds: Vec<Pred>, schema: &Schema) -> Plan {
     if preds.is_empty() {
         side
     } else {
-        lower_select(side, conjoin(preds), schema, stats)
+        push_select(side, conjoin(preds), schema)
     }
 }
 
-/// Push-down and hash-lowering for `Select { input, pred }` where
-/// `input` is already rewritten.
-fn lower_select(input: Plan, pred: Pred, schema: &Schema, stats: &InstanceStats) -> Plan {
+/// Push-down for `Select { input, pred }` where `input` is already
+/// rewritten.
+fn push_select(input: Plan, pred: Pred, schema: &Schema) -> Plan {
     // Merge stacked selects so one pass sees all conjuncts.
     let (input, pred) = match input {
         Plan::Select { input: inner, pred: inner_pred } => {
@@ -222,7 +161,7 @@ fn lower_select(input: Plan, pred: Pred, schema: &Schema, stats: &InstanceStats)
 
     let mut left_preds = Vec::new();
     let mut right_preds = Vec::new();
-    let mut on = Vec::new();
+    let mut keys = Vec::new();
     let mut residual = Vec::new();
     for c in conjuncts(pred) {
         let lo = min_col(&c);
@@ -234,46 +173,18 @@ fn lower_select(input: Plan, pred: Pred, schema: &Schema, stats: &InstanceStats)
             // Right columns only: shift and run before the product.
             right_preds.push(shift_cols(c, lw));
         } else if let Pred::Eq(Scalar::Col(a), Scalar::Col(b)) = c {
-            // A cross-side equality is a join key (lo < lw ≤ hi here).
-            let (lc, rc) = if a < b { (a, b) } else { (b, a) };
-            on.push((lc, rc - lw));
+            // A cross-side equality (lo < lw ≤ hi here), lower column first.
+            keys.push(Pred::Eq(Scalar::Col(a.min(b)), Scalar::Col(a.max(b))));
         } else {
             residual.push(c);
         }
     }
 
-    let l = apply_pushed(l, left_preds, schema, stats);
-    let r = apply_pushed(r, right_preds, schema, stats);
-
-    let joined =
-        if !on.is_empty() && stats.estimate(&l).max(stats.estimate(&r)) >= HASH_BUILD_THRESHOLD {
-            // Build on the smaller side. Exec builds on the right, so when
-            // the left is smaller the sides swap and a projection restores
-            // the original column order.
-            if stats.estimate(&l) < stats.estimate(&r) {
-                let rw = width(&r, schema);
-                let swapped_on = on.iter().map(|&(lc, rc)| (rc, lc)).collect();
-                let join = Plan::HashJoin {
-                    left: Box::new(r),
-                    right: Box::new(l),
-                    on: swapped_on,
-                    kind: JoinKind::Inner,
-                };
-                let cols = (rw..rw + lw).chain(0..rw).map(Scalar::Col).collect();
-                Plan::Project { input: Box::new(join), cols }
-            } else {
-                Plan::HashJoin { left: Box::new(l), right: Box::new(r), on, kind: JoinKind::Inner }
-            }
-        } else {
-            // Too small for hash (or no key): keep any equalities as
-            // residual conjuncts over the plain product.
-            residual.splice(
-                0..0,
-                on.iter().map(|&(lc, rc)| Pred::Eq(Scalar::Col(lc), Scalar::Col(rc + lw))),
-            );
-            Plan::Product(Box::new(l), Box::new(r))
-        };
-    select(joined, conjoin(residual))
+    let l = apply_pushed(l, left_preds, schema);
+    let r = apply_pushed(r, right_preds, schema);
+    let product = Plan::Product(Box::new(l), Box::new(r));
+    keys.extend(residual);
+    select(product, conjoin(keys))
 }
 
 #[cfg(test)]
@@ -317,133 +228,17 @@ mod tests {
         }
     }
 
-    fn has_hash_join(plan: &Plan) -> bool {
-        match plan {
-            Plan::HashJoin { .. } => true,
-            Plan::Scan(_) | Plan::Values { .. } => false,
-            Plan::Select { input, .. } | Plan::Project { input, .. } => has_hash_join(input),
-            Plan::Product(l, r) | Plan::Union(l, r) | Plan::Difference(l, r) => {
-                has_hash_join(l) || has_hash_join(r)
-            }
-            Plan::SemiJoin { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
-                has_hash_join(left) || has_hash_join(right)
-            }
-        }
-    }
-
-    #[test]
-    fn large_relations_lower_to_hash_and_agree() {
-        let (s, inst) = setup(64);
-        let plan = join_shape(&s);
-        let stats = InstanceStats::collect(&inst);
-        let opt = optimize(&plan, &s, &stats);
-        assert!(has_hash_join(&opt), "expected a hash join:\n{}", opt.explain(&s));
-        assert_eq!(plan.validate(&s), opt.validate(&s), "widths preserved");
-        assert_eq!(
-            execute(&plan, &inst, &Params::none()).unwrap(),
-            execute(&opt, &inst, &Params::none()).unwrap(),
-            "optimized plan changed the result"
-        );
-    }
-
-    #[test]
-    fn toy_relations_keep_the_nested_loop() {
-        let (s, inst) = setup(2);
-        let plan = join_shape(&s);
-        let stats = InstanceStats::collect(&inst);
-        let opt = optimize(&plan, &s, &stats);
-        assert!(!has_hash_join(&opt), "toy build side must not hash:\n{}", opt.explain(&s));
-        assert_eq!(
-            execute(&plan, &inst, &Params::none()).unwrap(),
-            execute(&opt, &inst, &Params::none()).unwrap()
-        );
-    }
-
-    #[test]
-    fn semi_and_anti_joins_lower_when_build_side_is_large() {
-        let (s, inst) = setup(64);
-        let edge = s.lookup("edge").unwrap();
-        let node = s.lookup("node").unwrap();
-        let stats = InstanceStats::collect(&inst);
-        for (naive, kind) in [
-            (
-                Plan::SemiJoin {
-                    left: Box::new(Plan::Scan(edge)),
-                    right: Box::new(Plan::Scan(node)),
-                    on: vec![(1, 0)],
-                },
-                JoinKind::Semi,
-            ),
-            (
-                Plan::AntiJoin {
-                    left: Box::new(Plan::Scan(edge)),
-                    right: Box::new(Plan::Scan(node)),
-                    on: vec![(1, 0)],
-                },
-                JoinKind::Anti,
-            ),
-        ] {
-            let opt = optimize(&naive, &s, &stats);
-            assert!(
-                matches!(&opt, Plan::HashJoin { kind: k, .. } if *k == kind),
-                "{kind:?} did not lower:\n{}",
-                opt.explain(&s)
-            );
-            assert_eq!(
-                execute(&naive, &inst, &Params::none()).unwrap(),
-                execute(&opt, &inst, &Params::none()).unwrap()
-            );
-        }
-    }
-
     #[test]
     fn pushdown_moves_single_side_conjuncts_below_the_product() {
         let (s, inst) = setup(2);
         let plan = join_shape(&s);
-        let stats = InstanceStats::collect(&inst);
-        let opt = optimize(&plan, &s, &stats);
+        let opt = optimize(&plan, &s);
         // The Ne filters must now sit below the Product.
         fn top_select_has_ne(plan: &Plan) -> bool {
             matches!(plan, Plan::Select { pred, .. }
                 if conjuncts(pred.clone()).iter().any(|p| matches!(p, Pred::Ne(..))))
         }
         assert!(!top_select_has_ne(&opt), "Ne conjuncts must push down:\n{}", opt.explain(&s));
-        assert_eq!(
-            execute(&plan, &inst, &Params::none()).unwrap(),
-            execute(&opt, &inst, &Params::none()).unwrap()
-        );
-    }
-
-    #[test]
-    fn cheapest_build_first_swaps_sides_and_restores_column_order() {
-        // Left side much smaller than right: the optimizer must build on
-        // the left, i.e. swap sides and re-project.
-        let mut s = Schema::new();
-        s.declare("small", 2, RelKind::Database).unwrap();
-        s.declare("big", 2, RelKind::Database).unwrap();
-        let s = Arc::new(s);
-        let small = s.lookup("small").unwrap();
-        let big = s.lookup("big").unwrap();
-        let mut inst = Instance::empty(Arc::clone(&s));
-        for i in 0..3u32 {
-            inst.insert(small, Tuple::from([Value(i), Value(i + 100)]));
-        }
-        for i in 0..50u32 {
-            inst.insert(big, Tuple::from([Value(i % 5), Value(i)]));
-        }
-        let plan = Plan::Select {
-            input: Box::new(Plan::Product(Box::new(Plan::Scan(small)), Box::new(Plan::Scan(big)))),
-            pred: Pred::Eq(Scalar::Col(0), Scalar::Col(2)),
-        };
-        let stats = InstanceStats::collect(&inst);
-        let opt = optimize(&plan, &s, &stats);
-        assert!(
-            matches!(&opt, Plan::Project { input, .. }
-                if matches!(&**input, Plan::HashJoin { right, .. }
-                    if matches!(&**right, Plan::Scan(r) if *r == small))),
-            "expected swap-and-project with the small side as build:\n{}",
-            opt.explain(&s)
-        );
         assert_eq!(
             execute(&plan, &inst, &Params::none()).unwrap(),
             execute(&opt, &inst, &Params::none()).unwrap()

@@ -37,17 +37,6 @@ pub enum Pred {
     EmptyFlag(usize),
 }
 
-/// Which rows a [`Plan::HashJoin`] produces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinKind {
-    /// Concatenated left++right rows for every match (equi-join).
-    Inner,
-    /// Left rows with at least one match (hash semi-join).
-    Semi,
-    /// Left rows with no match (hash anti-join).
-    Anti,
-}
-
 /// A query plan node. Every plan produces a set of rows of a fixed width.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Plan {
@@ -72,13 +61,6 @@ pub enum Plan {
     /// Left rows that join with no right row (anti-join, used for guarded
     /// negation).
     AntiJoin { left: Box<Plan>, right: Box<Plan>, on: Vec<(usize, usize)> },
-    /// Hash equi-join: a hash table is built on `right` keyed by its `on`
-    /// columns, then probed with each left row. The optimizer lowers
-    /// `Select{Product}`/`SemiJoin`/`AntiJoin` to this form when the
-    /// build side is large enough to amortize the table; the result is
-    /// canonicalized, so it is tuple-for-tuple identical to the
-    /// nested-loop form.
-    HashJoin { left: Box<Plan>, right: Box<Plan>, on: Vec<(usize, usize)>, kind: JoinKind },
 }
 
 /// Validation error for ill-formed plans.
@@ -200,22 +182,6 @@ impl Plan {
                 }
                 Ok(lw)
             }
-            Plan::HashJoin { left, right, on, kind } => {
-                let lw = left.validate(schema)?;
-                let rw = right.validate(schema)?;
-                for &(lc, rc) in on {
-                    if lc >= lw {
-                        return Err(PlanError::ColumnOutOfRange { col: lc, width: lw });
-                    }
-                    if rc >= rw {
-                        return Err(PlanError::ColumnOutOfRange { col: rc, width: rw });
-                    }
-                }
-                Ok(match kind {
-                    JoinKind::Inner => lw + rw,
-                    JoinKind::Semi | JoinKind::Anti => lw,
-                })
-            }
         }
     }
 
@@ -240,9 +206,9 @@ impl Plan {
                 Plan::Product(l, r) | Plan::Union(l, r) | Plan::Difference(l, r) => {
                     walk(l).max(walk(r))
                 }
-                Plan::SemiJoin { left, right, .. }
-                | Plan::AntiJoin { left, right, .. }
-                | Plan::HashJoin { left, right, .. } => walk(left).max(walk(right)),
+                Plan::SemiJoin { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
+                    walk(left).max(walk(right))
+                }
             }
         }
         walk(self).map_or(0, |m| m + 1)
@@ -286,9 +252,7 @@ impl Plan {
                 l.collect_reads(out);
                 r.collect_reads(out);
             }
-            Plan::SemiJoin { left, right, .. }
-            | Plan::AntiJoin { left, right, .. }
-            | Plan::HashJoin { left, right, .. } => {
+            Plan::SemiJoin { left, right, .. } | Plan::AntiJoin { left, right, .. } => {
                 left.collect_reads(out);
                 right.collect_reads(out);
             }
@@ -389,29 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_width_depends_on_kind() {
-        let s = schema();
-        let r = s.lookup("r").unwrap();
-        let st = s.lookup("s").unwrap();
-        let join = |kind| Plan::HashJoin {
-            left: Box::new(Plan::Scan(r)),
-            right: Box::new(Plan::Scan(st)),
-            on: vec![(0, 0)],
-            kind,
-        };
-        assert_eq!(join(JoinKind::Inner).validate(&s), Ok(3));
-        assert_eq!(join(JoinKind::Semi).validate(&s), Ok(2));
-        assert_eq!(join(JoinKind::Anti).validate(&s), Ok(2));
-        let bad = Plan::HashJoin {
-            left: Box::new(Plan::Scan(r)),
-            right: Box::new(Plan::Scan(st)),
-            on: vec![(0, 1)],
-            kind: JoinKind::Inner,
-        };
-        assert!(matches!(bad.validate(&s), Err(PlanError::ColumnOutOfRange { col: 1, width: 1 })));
-    }
-
-    #[test]
     fn reads_collects_rels_and_slots() {
         let s = schema();
         let r = s.lookup("r").unwrap();
@@ -487,16 +428,11 @@ impl Plan {
                 left.explain_into(schema, depth + 1, out);
                 right.explain_into(schema, depth + 1, out);
             }
-            Plan::HashJoin { left, right, on, kind } => {
-                let _ = writeln!(out, "{pad}HashJoin({kind:?}) on {on:?} build=right");
-                left.explain_into(schema, depth + 1, out);
-                right.explain_into(schema, depth + 1, out);
-            }
         }
     }
 
     /// One-line operator-tree skeleton (no predicates or column lists),
-    /// e.g. `Sel(HJ-inner(Scan,Scan))` — the "plan shape" column of the
+    /// e.g. `Sel(Prod(Sel(Scan),Scan))` — the "plan shape" column of the
     /// profiler's attribution table, where [`Plan::explain`] would be
     /// too wide.
     pub fn shape(&self) -> String {
@@ -513,14 +449,6 @@ impl Plan {
             }
             Plan::AntiJoin { left, right, .. } => {
                 format!("Anti({},{})", left.shape(), right.shape())
-            }
-            Plan::HashJoin { left, right, kind, .. } => {
-                let k = match kind {
-                    JoinKind::Inner => "inner",
-                    JoinKind::Semi => "semi",
-                    JoinKind::Anti => "anti",
-                };
-                format!("HJ-{k}({},{})", left.shape(), right.shape())
             }
         }
     }

@@ -1,47 +1,37 @@
-//! Prepared queries: compile once, execute many times with fresh parameters.
+//! Prepared queries: plan once, execute many times with fresh parameters.
 //!
 //! This mirrors the paper's use of JDBC prepared statements: the NDFS search
 //! re-evaluates each rule body a very large number of times with different
 //! current-input tuples, so the translation/validation work must be paid
-//! once. A [`PreparedQuery`] owns a validated plan and an execution-count
-//! statistic (useful for the ablation benchmarks).
+//! once. [`PreparedQuery::prepare`] validates a compiled plan and plans it
+//! ([`optimize`](crate::optimize::optimize): selection push-down, which reads
+//! no data), so every execution runs the same plan.
 
-use crate::exec::{execute, execute_counting, ExecError, ExecStats, Params};
+use crate::exec::{execute, ExecError, Params};
 use crate::instance::Instance;
-use crate::optimize::optimize;
+use crate::optimize::push_down;
 use crate::plan::{Plan, PlanError, PlanReads};
 use crate::schema::Schema;
-use crate::stats::InstanceStats;
 use crate::tuple::Relation;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A validated, reusable query plan.
-#[derive(Debug)]
+/// A validated, planned, reusable query.
+#[derive(Clone, Debug)]
 pub struct PreparedQuery {
     plan: Plan,
     width: usize,
     param_slots: usize,
-    executions: AtomicU64,
-}
-
-impl Clone for PreparedQuery {
-    fn clone(&self) -> Self {
-        PreparedQuery {
-            plan: self.plan.clone(),
-            width: self.width,
-            param_slots: self.param_slots,
-            executions: AtomicU64::new(self.executions.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl PreparedQuery {
-    /// Validate `plan` against `schema` and wrap it for repeated execution.
+    /// Validate `plan` against `schema`, push its selections down and
+    /// wrap it for repeated execution.
     pub fn prepare(schema: &Arc<Schema>, plan: Plan) -> Result<Self, PlanError> {
         let width = plan.validate(schema)?;
+        let plan = push_down(plan, schema);
+        debug_assert_eq!(plan.validate(schema), Ok(width), "push-down must preserve width");
         let param_slots = plan.param_count();
-        Ok(PreparedQuery { plan, width, param_slots, executions: AtomicU64::new(0) })
+        Ok(PreparedQuery { plan, width, param_slots })
     }
 
     /// Output width of the query.
@@ -54,19 +44,13 @@ impl PreparedQuery {
         self.param_slots
     }
 
-    /// How many times this query has been executed (for benchmarks).
-    pub fn executions(&self) -> u64 {
-        self.executions.load(Ordering::Relaxed)
-    }
-
-    /// The underlying plan (for plan-shape assertions in tests).
+    /// The plan that runs: the compiled plan with selections pushed down.
     pub fn plan(&self) -> &Plan {
         &self.plan
     }
 
     /// Execute with the given parameter bindings.
     pub fn run(&self, inst: &Instance, params: &Params) -> Result<Relation, ExecError> {
-        self.executions.fetch_add(1, Ordering::Relaxed);
         execute(&self.plan, inst, params)
     }
 
@@ -75,36 +59,10 @@ impl PreparedQuery {
         Ok(!self.run(inst, params)?.is_empty())
     }
 
-    /// Execute, accumulating operator counters into `stats`.
-    pub fn run_counting(
-        &self,
-        inst: &Instance,
-        params: &Params,
-        stats: &mut ExecStats,
-    ) -> Result<Relation, ExecError> {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        execute_counting(&self.plan, inst, params, stats)
-    }
-
     /// The read-set: relations scanned and parameter slots consulted.
     /// This is what the delta-driven memo keys a cached result on.
     pub fn reads(&self) -> PlanReads {
         self.plan.reads()
-    }
-
-    /// A new prepared query whose plan has been rewritten against
-    /// cardinality statistics (selection push-down, hash lowering). The
-    /// rewritten plan computes the same relation; the execution counter
-    /// starts fresh.
-    pub fn optimized(&self, schema: &Arc<Schema>, stats: &InstanceStats) -> Self {
-        let plan = optimize(&self.plan, schema, stats);
-        debug_assert_eq!(plan.validate(schema), Ok(self.width), "rewrite must preserve width");
-        PreparedQuery {
-            plan,
-            width: self.width,
-            param_slots: self.param_slots,
-            executions: AtomicU64::new(0),
-        }
     }
 }
 
@@ -136,7 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn run_counts_executions_and_rebinds() {
+    fn run_rebinds_parameters() {
         let (s, inst) = setup();
         let r = s.lookup("r").unwrap();
         let q = PreparedQuery::prepare(
@@ -153,6 +111,29 @@ mod tests {
         assert!(q.run_bool(&inst, &p).unwrap());
         p.bind(0, Value(9));
         assert!(!q.run_bool(&inst, &p).unwrap());
-        assert_eq!(q.executions(), 2);
+    }
+
+    #[test]
+    fn prepare_pushes_single_side_conjuncts_below_the_product() {
+        let (s, inst) = setup();
+        let r = s.lookup("r").unwrap();
+        let compiled = Plan::Select {
+            input: Box::new(Plan::Product(Box::new(Plan::Scan(r)), Box::new(Plan::Scan(r)))),
+            pred: Pred::And(vec![
+                Pred::Eq(Scalar::Col(0), Scalar::Param(0)),
+                Pred::Eq(Scalar::Col(1), Scalar::Const(Value(2))),
+            ]),
+        };
+        let q = PreparedQuery::prepare(&s, compiled.clone()).unwrap();
+        let side = |pred| Box::new(Plan::Select { input: Box::new(Plan::Scan(r)), pred });
+        let planned = Plan::Product(
+            side(Pred::Eq(Scalar::Col(0), Scalar::Param(0))),
+            side(Pred::Eq(Scalar::Col(0), Scalar::Const(Value(2)))),
+        );
+        assert_eq!(q.plan(), &planned, "{}", q.plan().explain(&s));
+        assert_eq!((q.width(), q.param_slots()), (2, 1));
+        let mut p = Params::with_slots(1);
+        p.bind(0, Value(1));
+        assert_eq!(q.run(&inst, &p).unwrap(), execute(&compiled, &inst, &p).unwrap());
     }
 }

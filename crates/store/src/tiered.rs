@@ -222,8 +222,14 @@ impl TieredVisits {
     }
 
     /// Drop all marks (between NDFS cores). High-water marks and event
-    /// counters survive; segment files are deleted.
+    /// counters survive; segment files are deleted. A no-op when nothing
+    /// was marked since the last clear (every fresh key counts in
+    /// `distinct`, spilled or not), so the first core of a unit does not
+    /// zero-fill a table the OS has not even paged in.
     pub fn clear(&mut self) {
+        if self.distinct == 0 {
+            return;
+        }
         self.hot.clear();
         for seg in self.cold.drain(..) {
             let _ = std::fs::remove_file(seg.path());
@@ -470,6 +476,25 @@ mod tests {
         }
         assert_eq!(t.max_distinct(), 2000, "historic max survives clear");
         assert!(t.max_spilled() > 0);
+    }
+
+    #[test]
+    fn clear_forgets_marks_that_all_spilled() {
+        let mut t = TieredVisits::new(tiny()).unwrap();
+        for k in 0..50u64 {
+            t.mark(k, STICK).unwrap();
+        }
+        while t.resident() > 0 {
+            t.spill().unwrap();
+        }
+        assert!(t.segment_count() > 0);
+        assert!((0..50u64).all(|k| t.is_marked(k, STICK).unwrap()), "marks live in the cold tier");
+        t.clear();
+        assert_eq!(t.segment_count(), 0);
+        for k in 0..50u64 {
+            assert!(!t.is_marked(k, STICK).unwrap(), "key {k} survived the clear");
+            assert!(!t.mark(k, STICK).unwrap(), "key {k} must be fresh after the clear");
+        }
     }
 
     #[test]

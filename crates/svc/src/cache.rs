@@ -45,8 +45,8 @@ pub const DEFAULT_MEM_ENTRIES: usize = 256;
 /// Only *semantic* option fields participate: `cancel` (scheduling
 /// state), `state_store` (a speed/memory knob — both backends produce
 /// identical verdicts, traces and statistics), `naive_joins` (a query
-/// ablation knob — optimized and naive plans compute identical
-/// relations) and `budget_chunk` (a contention knob — the exhaustion
+/// memo ablation knob — memoized and re-executed queries return
+/// identical relations) and `budget_chunk` (a contention knob — the exhaustion
 /// point is chunk-independent) are deliberately excluded, so runs under
 /// any of those settings share cache entries.
 pub fn fingerprint(spec_text: &str, property: &str, options: &VerifyOptions) -> String {

@@ -50,7 +50,8 @@ pub struct SvcMetrics {
     pub memo_hits_total: Arc<Counter>,
     /// Memoized rule/target evaluations that executed their plan.
     pub memo_misses_total: Arc<Counter>,
-    /// Hash tables built by lowered hash-join operators.
+    /// Retired: always 0 (it counted hash-join builds; every join is a
+    /// nested loop now). Kept while the bench harness reads the counter.
     pub join_builds_total: Arc<Counter>,
     /// Rules (targets included) the wave-flow slice removed from
     /// completed checks (summed per check, not per unit).
@@ -150,7 +151,7 @@ impl SvcMetrics {
             ),
             join_builds_total: registry.counter(
                 "wave_join_builds_total",
-                "Hash tables built by lowered hash-join operators",
+                "Retired, always 0: hash tables built by hash-join operators",
             ),
             slice_rules_removed_total: registry.counter(
                 "wave_slice_rules_removed_total",

@@ -91,8 +91,9 @@ check options:
   --exhaustive-equality   enumerate all C_∃ equality patterns
   --interpret             evaluate rules and property components directly
                           (no compiled plans)
-  --naive-joins           nested-loop joins, no query memo (planner ablation
-                          baseline; verdicts and statistics are unchanged)
+  --naive-joins           turn the query memo off (joins are nested loops
+                          either way; memo ablation baseline: verdicts and
+                          statistics are unchanged)
   --no-slice              disable cone-of-influence property slicing
                           (dataflow ablation baseline; verdicts, traces,
                           and deterministic counters are unchanged)
@@ -171,7 +172,11 @@ re-runs them, fails if a committed file has drifted, and fails if the
 measured suite wall time regressed more than --max-regress percent
 (default 200) against the last ledger entry; --trend renders the
 per-property elapsed-time history across ledger entries; --backfill
-seeds the ledger from the committed bench files without re-running
+seeds the ledger from the committed bench files without re-running.
+--record always rewrites all three files. wavebench picks check-suite's
+heavy properties and serve-mix's request pool from BENCH_query.json's
+elapsed_ms, so to re-record the store rows alone send --query-out and
+--slice-out to a scratch path
 
 batch: one JSON job per input line, one JSON record per property on
 stdout; e.g. {\"suite\":\"E1\"}, {\"suite\":\"E1\",\"property\":\"P5\"}, or
@@ -656,9 +661,6 @@ fn profile_report(
                 ("hit_rate", q.hit_rate().map(Json::from).unwrap_or(Json::Null)),
                 ("exec_ns", Json::from(q.exec_ns)),
                 ("rows", Json::from(q.rows)),
-                ("hash_builds", Json::from(q.hash_builds)),
-                ("rows_built", Json::from(q.rows_built)),
-                ("rows_probed", Json::from(q.rows_probed)),
                 ("wall_ns", Json::from(profiler.total_ns_of("query", u64::from(q.qid)))),
             ])
         })
@@ -1242,9 +1244,8 @@ fn cmd_trace_summarize(rest: &[String]) -> ExitCode {
     let mut depths: Vec<u64> = Vec::new(); // depth -> expand count
     let mut expansions: Vec<(u64, u64, u64, u64)> = Vec::new(); // (dur_ns, line, depth, succs)
     let mut total = 0u64;
-    // v2 roll-ups: memo traffic, hash-join builds, spill/compaction work
+    // v2 roll-ups: memo traffic, spill/compaction work
     let mut memo = [0u64; 3]; // hits, misses, evictions
-    let mut join_builds = 0u64;
     let mut spill = [0u64; 2]; // pairs, segments
                                // spill events carry a compactions delta since v1; dedicated compact
                                // events repeat it since v2 — count each stream separately and
@@ -1263,8 +1264,9 @@ fn cmd_trace_summarize(rest: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        // v1 is a strict subset of v2 (v2 added the memo, join_build,
-        // and compact kinds), so any version up to ours decodes fine
+        // v1 is a strict subset of v2 (v2 added the memo and compact
+        // kinds), so any version up to ours decodes fine; tags we do not
+        // roll up (such as the retired join_build) are only counted
         let version = event.get("v").and_then(wave_svc::Json::as_u64);
         if !version.is_some_and(|v| (1..=u64::from(wave::core::TRACE_SCHEMA_VERSION)).contains(&v))
         {
@@ -1301,7 +1303,6 @@ fn cmd_trace_summarize(rest: &[String]) -> ExitCode {
                 memo[1] += field("misses");
                 memo[2] += field("evictions");
             }
-            "join_build" => join_builds += field("builds"),
             "spill" => {
                 spill[0] += field("pairs");
                 spill[1] += field("segments");
@@ -1327,9 +1328,6 @@ fn cmd_trace_summarize(rest: &[String]) -> ExitCode {
             memo[0] as f64 / (memo[0] + memo[1]) as f64 * 100.0,
             memo[2],
         );
-    }
-    if join_builds > 0 {
-        println!("joins: {join_builds} hash tables built");
     }
     if spill[0] > 0 {
         println!(
@@ -1480,9 +1478,9 @@ fn bench_rows() -> Result<Vec<wave_svc::Json>, String> {
 const BENCH_QUERY_FILE: &str = "BENCH_query.json";
 
 /// Deterministic columns of the query bench. Identical between
-/// `joins=opt` and `joins=naive` rows of one property — the optimizer
-/// and memo are semantics-neutral — so the drift gate doubles as an
-/// equivalence check on the committed file.
+/// `joins=opt` and `joins=naive` rows of one property — the memo is
+/// semantics-neutral — so the drift gate doubles as an equivalence
+/// check on the committed file.
 const BENCH_QUERY_DETERMINISTIC_KEYS: [&str; 9] = [
     "suite",
     "prop",
@@ -1495,7 +1493,7 @@ const BENCH_QUERY_DETERMINISTIC_KEYS: [&str; 9] = [
     "max_trie",
 ];
 
-/// Run every E1–E4 property with the query engine on (`joins=opt`) and
+/// Run every E1–E4 property with the query memo on (`joins=opt`) and
 /// off (`joins=naive`, the `--naive-joins` ablation), one row per
 /// (suite, property, mode).
 fn bench_query_rows() -> Result<Vec<wave_svc::Json>, String> {

@@ -1,9 +1,8 @@
-//! Query-engine equivalence suite (ISSUE 7): the cardinality-guided
-//! optimizer, the hash-join lowering and the delta-driven result memo
-//! must be observationally identical to the naive nested-loop engine —
-//! same verdicts, same deterministic search counters, byte-identical
-//! counterexample renderings — across every property of all four
-//! benchmark applications.
+//! Query-engine equivalence suite: the delta-driven result memo must be
+//! observationally identical to re-executing every plan (the
+//! `--naive-joins` ablation) — same verdicts, same deterministic search
+//! counters, byte-identical counterexample renderings — across every
+//! property of all four benchmark applications.
 //!
 //! `WAVE_TEST_JOINS=naive` (the CI matrix leg) flips the *default* side
 //! of each comparison to the ablation too, so the whole integration
@@ -37,7 +36,7 @@ fn suite(name: &str) -> AppSuite {
 
 /// Everything the engine determines about one property: verdict shape,
 /// the deterministic stats columns, and the rendered counterexample.
-/// Memo/join counters are deliberately absent — they are the knob under
+/// Memo counters are deliberately absent — they are the knob under
 /// test, not part of the observable result.
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -51,20 +50,19 @@ struct Outcome {
     counterexample: Option<String>,
 }
 
-/// `(outcomes, total memo hits, total hash builds)` for the selected
-/// properties with the given engine setting.
-fn run(suite: &AppSuite, names: &[&str], naive_joins: bool) -> (Vec<Outcome>, u64, u64) {
+/// `(outcomes, total memo hits)` for the selected properties with the
+/// given engine setting.
+fn run(suite: &AppSuite, names: &[&str], naive_joins: bool) -> (Vec<Outcome>, u64) {
     let options = VerifyOptions { naive_joins, ..Default::default() };
     let verifier = Verifier::with_options(suite.spec.clone(), options).expect("suite compiles");
     let mut outcomes = Vec::new();
-    let (mut hits, mut builds) = (0, 0);
+    let mut hits = 0;
     for case in &suite.properties {
         if !names.contains(&case.name) {
             continue;
         }
         let v = verifier.check_str(&case.text).expect("check runs");
         hits += v.stats.profile.memo_hits;
-        builds += v.stats.profile.join_builds;
         outcomes.push(Outcome {
             name: case.name.to_string(),
             verdict: match &v.verdict {
@@ -83,7 +81,7 @@ fn run(suite: &AppSuite, names: &[&str], naive_joins: bool) -> (Vec<Outcome>, u6
             },
         });
     }
-    (outcomes, hits, builds)
+    (outcomes, hits)
 }
 
 /// When the CI matrix sets `WAVE_TEST_JOINS=naive`, even the "default"
@@ -136,19 +134,18 @@ fn assert_matches_committed_rows(suite: &AppSuite, outcomes: &[Outcome]) {
     }
 }
 
-fn optimized_matches_naive_everywhere(name: &str) {
+fn engine_matches_naive_everywhere(name: &str) {
     let suite = suite(name);
     let excluded: Vec<&str> =
         SWEEP_EXCLUDE.iter().filter(|(s, _)| *s == name).map(|(_, prop)| *prop).collect();
     let names: Vec<&str> =
         suite.properties.iter().map(|c| c.name).filter(|n| !excluded.contains(n)).collect();
-    let (engine, hits, _) = run(&suite, &names, default_is_naive());
-    let (naive, naive_hits, naive_builds) = run(&suite, &names, true);
+    let (engine, hits) = run(&suite, &names, default_is_naive());
+    let (naive, naive_hits) = run(&suite, &names, true);
     assert_eq!(engine.len(), names.len());
     assert_eq!(engine, naive, "{name}: query engine diverged from nested-loop baseline");
     assert_matches_committed_rows(&suite, &engine);
     assert_eq!(naive_hits, 0, "{name}: the ablation must not memoize");
-    assert_eq!(naive_builds, 0, "{name}: the ablation must not build hash tables");
     if !default_is_naive() {
         assert!(hits > 0, "{name}: the memo never hit across a whole suite");
     }
@@ -156,22 +153,22 @@ fn optimized_matches_naive_everywhere(name: &str) {
 
 #[test]
 fn e1_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E1");
+    engine_matches_naive_everywhere("E1");
 }
 
 #[test]
 fn e2_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E2");
+    engine_matches_naive_everywhere("E2");
 }
 
 #[test]
 fn e3_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E3");
+    engine_matches_naive_everywhere("E3");
 }
 
 #[test]
 fn e4_query_engine_matches_naive_on_every_property() {
-    optimized_matches_naive_everywhere("E4");
+    engine_matches_naive_everywhere("E4");
 }
 
 /// For every property of a suite: (a) every instantiated FO component of
@@ -228,8 +225,8 @@ fn e4_components_compile_and_violations_replay() {
 }
 
 /// The interpreter baseline ignores the ablation flag entirely: with
-/// `--interpret` there are no plans to optimize or memoize, so both
-/// settings are the same run.
+/// `--interpret` there are no plans to memoize, so both settings are the
+/// same run.
 #[test]
 fn interpret_mode_is_unaffected_by_the_ablation_flag() {
     let suite = suite("E2");
@@ -242,7 +239,6 @@ fn interpret_mode_is_unaffected_by_the_ablation_flag() {
             let v = verifier.check_str(&case.text).expect("check runs");
             assert_eq!(v.stats.profile.memo_hits, 0);
             assert_eq!(v.stats.profile.memo_misses, 0);
-            assert_eq!(v.stats.profile.join_builds, 0);
         }
     }
 }

@@ -12,7 +12,9 @@
 //!
 //! Version 2 appended the `memo`, `join_build`, and `compact` event
 //! kinds; every v1 event shape is unchanged, so v1 traces remain a
-//! strict subset of v2 (pinned by `v1_traces_still_summarize`).
+//! strict subset of v2 (pinned by `v1_traces_still_summarize`). The
+//! writer no longer emits `join_build` (the hash join it counted is
+//! gone), so the golden file pins the subset of v2 written today.
 
 use wave::apps::e1;
 use wave::core::{JsonlTracer, Observer, TraceEvent, TRACE_SCHEMA_VERSION};
@@ -76,7 +78,6 @@ fn trace_schema_matches_the_golden_file() {
     synth.event(TraceEvent::Spill { unit: 0, core: 0, pairs: 1, segments: 1, compactions: 0 });
     synth.event(TraceEvent::Compact { unit: 0, core: 0, compactions: 1, segments: 1 });
     synth.event(TraceEvent::Memo { unit: 0, core: 0, hits: 1, misses: 1, evictions: 0 });
-    synth.event(TraceEvent::JoinBuild { unit: 0, core: 0, builds: 1 });
     assert!(synth.take_error().is_none());
     lines.push_str(&String::from_utf8(synth.into_inner()).unwrap());
 
@@ -98,6 +99,22 @@ fn trace_schema_matches_the_golden_file() {
     );
 }
 
+/// Run `wave trace summarize` on a trace file holding `text`; returns
+/// whether it succeeded, and its stdout.
+fn summarize(name: &str, text: &str) -> (bool, String) {
+    let dir = std::env::temp_dir().join(format!("wave_{name}_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.jsonl"));
+    std::fs::write(&path, text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wave"))
+        .args(["trace", "summarize"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
 /// A v2 reader must keep decoding v1 traces: the version bump appended
 /// event kinds, it did not change any existing shape. These lines are
 /// verbatim from a pre-v2 `--trace-out` run.
@@ -109,18 +126,25 @@ fn v1_traces_still_summarize() {
 {\"v\":1,\"ev\":\"intern\",\"hit\":true,\"t_ns\":300}\n\
 {\"v\":1,\"ev\":\"phase\",\"candy\":false,\"depth\":1,\"t_ns\":400}\n\
 {\"v\":1,\"ev\":\"spill\",\"unit\":0,\"core\":0,\"pairs\":12,\"segments\":1,\"compactions\":0,\"t_ns\":500}\n";
-    let dir = std::env::temp_dir().join(format!("wave_v1_trace_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("v1.jsonl");
-    std::fs::write(&path, v1).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wave"))
-        .args(["trace", "summarize"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "summarize rejected a v1 trace: {stdout}");
+    let (ok, stdout) = summarize("v1", v1);
+    assert!(ok, "summarize rejected a v1 trace: {stdout}");
     assert!(stdout.contains("5 events"), "{stdout}");
     assert!(stdout.contains("spill: 12 pairs in 1 segments, 0 compactions"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Traces written before the hash join was deleted carry `join_build`
+/// events; the reader counts the tag like any other and rolls nothing
+/// up from it.
+#[test]
+fn retired_join_build_events_still_summarize() {
+    let v2 = "\
+{\"v\":2,\"ev\":\"core\",\"unit\":0,\"core\":0,\"t_ns\":100}\n\
+{\"v\":2,\"ev\":\"memo\",\"unit\":0,\"core\":0,\"hits\":3,\"misses\":1,\"evictions\":0,\"t_ns\":200}\n\
+{\"v\":2,\"ev\":\"join_build\",\"unit\":0,\"core\":0,\"builds\":2,\"t_ns\":300}\n";
+    let (ok, stdout) = summarize("join_build", v2);
+    assert!(ok, "summarize rejected a join_build trace: {stdout}");
+    assert!(stdout.contains("3 events"), "{stdout}");
+    assert!(stdout.contains("join_build"), "the tag is still counted: {stdout}");
+    assert!(stdout.contains("memo: 3 hits / 1 misses"), "{stdout}");
+    assert!(!stdout.contains("joins:"), "{stdout}");
 }
