@@ -264,6 +264,45 @@ mod tests {
     }
 
     #[test]
+    fn joins_with_empty_on_test_the_right_side_for_emptiness() {
+        let (s, inst) = setup();
+        let edge = s.lookup("edge").unwrap();
+        let mark = s.lookup("mark").unwrap();
+        let nonempty = Plan::Scan(mark);
+        let empty = Plan::Select { input: Box::new(Plan::Scan(mark)), pred: Pred::False };
+        let run = |semi: bool, right: &Plan| {
+            let (left, right) = (Box::new(Plan::Scan(edge)), Box::new(right.clone()));
+            let plan = if semi {
+                Plan::SemiJoin { left, right, on: vec![] }
+            } else {
+                Plan::AntiJoin { left, right, on: vec![] }
+            };
+            execute(&plan, &inst, &Params::none()).unwrap()
+        };
+        let all = inst.rel(edge).clone();
+        assert_eq!(run(true, &nonempty), all, "semi-join keeps every row");
+        assert!(run(true, &empty).is_empty(), "semi-join with nothing to match");
+        assert!(run(false, &nonempty).is_empty(), "anti-join drops every row");
+        assert_eq!(run(false, &empty), all, "anti-join with nothing to match");
+    }
+
+    #[test]
+    fn product_concatenates_columns_and_an_empty_side_empties_it() {
+        let (s, inst) = setup();
+        let edge = s.lookup("edge").unwrap();
+        let mark = s.lookup("mark").unwrap();
+        let plan = Plan::Product(Box::new(Plan::Scan(edge)), Box::new(Plan::Scan(mark)));
+        let out = execute(&plan, &inst, &Params::none()).unwrap();
+        assert_eq!((out.arity(), out.len()), (3, 3));
+        assert!(out.contains(&Tuple::from([Value(3), Value(1), Value(2)])));
+
+        let nothing = Plan::Values { width: 1, rows: vec![] };
+        let plan = Plan::Product(Box::new(Plan::Scan(edge)), Box::new(nothing));
+        let out = execute(&plan, &inst, &Params::none()).unwrap();
+        assert_eq!((out.arity(), out.len()), (3, 0));
+    }
+
+    #[test]
     fn params_bind_into_predicates_and_values() {
         let (s, inst) = setup();
         let edge = s.lookup("edge").unwrap();

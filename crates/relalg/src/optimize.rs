@@ -244,4 +244,203 @@ mod tests {
             execute(&opt, &inst, &Params::none()).unwrap()
         );
     }
+
+    fn scan(s: &Schema, name: &str) -> Box<Plan> {
+        Box::new(Plan::Scan(s.lookup(name).unwrap()))
+    }
+
+    fn sel(input: Box<Plan>, pred: Pred) -> Box<Plan> {
+        Box::new(Plan::Select { input, pred })
+    }
+
+    fn edge_x_node(s: &Schema) -> Box<Plan> {
+        Box::new(Plan::Product(scan(s, "edge"), scan(s, "node")))
+    }
+
+    /// `plan` and `opt` agree on `inst` under `params`.
+    fn assert_same_result(plan: &Plan, opt: &Plan, inst: &Instance, params: &Params) {
+        assert_eq!(execute(plan, inst, params).unwrap(), execute(opt, inst, params).unwrap());
+    }
+
+    #[test]
+    fn cross_side_equalities_lead_lower_column_first() {
+        let (s, inst) = setup(20);
+        // Spans both sides but is no column equality: stays a residual.
+        let residual = Pred::Or(vec![
+            Pred::Eq(Scalar::Col(0), Scalar::Col(2)),
+            Pred::Eq(Scalar::Col(1), Scalar::Const(Value(0))),
+        ]);
+        let plan = *sel(
+            edge_x_node(&s),
+            Pred::And(vec![residual.clone(), Pred::Eq(Scalar::Col(2), Scalar::Col(1))]),
+        );
+        let opt = optimize(&plan, &s);
+        let expected = *sel(
+            edge_x_node(&s),
+            Pred::And(vec![Pred::Eq(Scalar::Col(1), Scalar::Col(2)), residual]),
+        );
+        assert_eq!(opt, expected, "{}", opt.explain(&s));
+        assert_same_result(&plan, &opt, &inst, &Params::none());
+    }
+
+    #[test]
+    fn stacked_selects_merge_before_pushing() {
+        let (s, inst) = setup(20);
+        let key = Pred::Eq(Scalar::Col(1), Scalar::Col(2));
+        // The inner select keeps its join key above the product; the outer
+        // one merges into it and its right-only conjunct still moves down.
+        let plan = *sel(
+            sel(edge_x_node(&s), key.clone()),
+            Pred::Ne(Scalar::Col(2), Scalar::Const(Value(4))),
+        );
+        let opt = optimize(&plan, &s);
+        let pushed = Plan::Product(
+            scan(&s, "edge"),
+            sel(scan(&s, "node"), Pred::Ne(Scalar::Col(0), Scalar::Const(Value(4)))),
+        );
+        assert_eq!(opt, *sel(Box::new(pushed), key), "{}", opt.explain(&s));
+        assert_same_result(&plan, &opt, &inst, &Params::none());
+
+        // Over a scan, the two selects become one conjunction.
+        let (a, b) = (
+            Pred::Ne(Scalar::Col(0), Scalar::Const(Value(3))),
+            Pred::Eq(Scalar::Col(1), Scalar::Const(Value(2))),
+        );
+        let plan = *sel(sel(scan(&s, "edge"), a.clone()), b.clone());
+        let opt = optimize(&plan, &s);
+        assert_eq!(opt, *sel(scan(&s, "edge"), Pred::And(vec![a, b])), "{}", opt.explain(&s));
+        assert_same_result(&plan, &opt, &inst, &Params::none());
+    }
+
+    #[test]
+    fn pushdown_reaches_the_inner_product() {
+        let (s, inst) = setup(20);
+        // (edge × node) × node: column 2 is the inner node, column 3 the outer.
+        let nested = Box::new(Plan::Product(edge_x_node(&s), scan(&s, "node")));
+        let plan = *sel(
+            nested,
+            Pred::And(vec![
+                Pred::Eq(Scalar::Col(2), Scalar::Const(Value(5))),
+                Pred::Eq(Scalar::Col(3), Scalar::Col(0)),
+            ]),
+        );
+        let opt = optimize(&plan, &s);
+        let inner = Plan::Product(
+            scan(&s, "edge"),
+            sel(scan(&s, "node"), Pred::Eq(Scalar::Col(0), Scalar::Const(Value(5)))),
+        );
+        let expected = *sel(
+            Box::new(Plan::Product(Box::new(inner), scan(&s, "node"))),
+            Pred::Eq(Scalar::Col(0), Scalar::Col(3)),
+        );
+        assert_eq!(opt, expected, "{}", opt.explain(&s));
+        assert_same_result(&plan, &opt, &inst, &Params::none());
+    }
+
+    #[test]
+    fn column_free_conjuncts_run_on_the_left_side() {
+        let (s, inst) = setup(20);
+        let flag = Pred::EmptyFlag(0);
+        let param_test = Pred::Eq(Scalar::Param(0), Scalar::Const(Value(1)));
+        let plan = *sel(
+            edge_x_node(&s),
+            Pred::And(vec![
+                flag.clone(),
+                param_test.clone(),
+                Pred::Eq(Scalar::Col(2), Scalar::Param(0)),
+            ]),
+        );
+        let opt = optimize(&plan, &s);
+        let expected = Plan::Product(
+            sel(scan(&s, "edge"), Pred::And(vec![flag, param_test])),
+            sel(scan(&s, "node"), Pred::Eq(Scalar::Col(0), Scalar::Param(0))),
+        );
+        assert_eq!(opt, expected, "{}", opt.explain(&s));
+        for (value, empty) in [(1, true), (1, false), (2, true)] {
+            let mut params = Params::with_slots(1);
+            params.bind(0, Value(value));
+            params.set_empty(0, empty);
+            assert_same_result(&plan, &opt, &inst, &params);
+        }
+    }
+
+    #[test]
+    fn constant_predicates_vanish_or_run_on_the_left() {
+        let (s, inst) = setup(20);
+        let plan = *sel(edge_x_node(&s), Pred::True);
+        let opt = optimize(&plan, &s);
+        assert_eq!(opt, *edge_x_node(&s), "{}", opt.explain(&s));
+        assert_same_result(&plan, &opt, &inst, &Params::none());
+
+        let plan = *sel(edge_x_node(&s), Pred::False);
+        let opt = optimize(&plan, &s);
+        let expected = Plan::Product(sel(scan(&s, "edge"), Pred::False), scan(&s, "node"));
+        assert_eq!(opt, expected, "{}", opt.explain(&s));
+        assert!(execute(&opt, &inst, &Params::none()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn pushdown_recurses_under_joins_projections_and_set_operators() {
+        let (s, inst) = setup(20);
+        let filtered = sel(edge_x_node(&s), Pred::Ne(Scalar::Col(2), Scalar::Const(Value(4))));
+        let pushed = Box::new(Plan::Product(
+            scan(&s, "edge"),
+            sel(scan(&s, "node"), Pred::Ne(Scalar::Col(0), Scalar::Const(Value(4)))),
+        ));
+        let cases = [
+            (
+                Plan::SemiJoin {
+                    left: filtered.clone(),
+                    right: scan(&s, "node"),
+                    on: vec![(2, 0)],
+                },
+                Plan::SemiJoin { left: pushed.clone(), right: scan(&s, "node"), on: vec![(2, 0)] },
+            ),
+            (
+                Plan::AntiJoin {
+                    left: scan(&s, "node"),
+                    right: filtered.clone(),
+                    on: vec![(0, 1)],
+                },
+                Plan::AntiJoin { left: scan(&s, "node"), right: pushed.clone(), on: vec![(0, 1)] },
+            ),
+            (
+                Plan::Union(filtered.clone(), edge_x_node(&s)),
+                Plan::Union(pushed.clone(), edge_x_node(&s)),
+            ),
+            (
+                Plan::Difference(edge_x_node(&s), filtered.clone()),
+                Plan::Difference(edge_x_node(&s), pushed.clone()),
+            ),
+            (
+                Plan::Project { input: filtered, cols: vec![Scalar::Col(0)] },
+                Plan::Project { input: pushed, cols: vec![Scalar::Col(0)] },
+            ),
+        ];
+        for (plan, expected) in cases {
+            let opt = optimize(&plan, &s);
+            assert_eq!(opt, expected, "{}", opt.explain(&s));
+            assert_same_result(&plan, &opt, &inst, &Params::none());
+        }
+    }
+
+    #[test]
+    fn pushdown_is_idempotent() {
+        let (s, _) = setup(2);
+        let nested = *sel(
+            sel(
+                Box::new(Plan::Product(edge_x_node(&s), scan(&s, "node"))),
+                Pred::Eq(Scalar::Col(3), Scalar::Col(0)),
+            ),
+            Pred::And(vec![
+                Pred::Eq(Scalar::Col(2), Scalar::Param(0)),
+                Pred::Ne(Scalar::Col(1), Scalar::Const(Value(6))),
+            ]),
+        );
+        for plan in [join_shape(&s), nested] {
+            let once = optimize(&plan, &s);
+            assert_ne!(once, plan, "the shape must give push-down work");
+            assert_eq!(optimize(&once, &s), once, "{}", once.explain(&s));
+        }
+    }
 }

@@ -136,4 +136,24 @@ mod tests {
         p.bind(0, Value(1));
         assert_eq!(q.run(&inst, &p).unwrap(), execute(&compiled, &inst, &p).unwrap());
     }
+
+    /// The memo keys results on `reads()`, so moving conjuncts must not
+    /// add or lose a relation or a parameter slot.
+    #[test]
+    fn prepare_keeps_the_read_set_of_the_compiled_plan() {
+        let (s, _) = setup();
+        let r = s.lookup("r").unwrap();
+        let compiled = Plan::Select {
+            input: Box::new(Plan::Product(Box::new(Plan::Scan(r)), Box::new(Plan::Scan(r)))),
+            pred: Pred::And(vec![
+                Pred::EmptyFlag(2),
+                Pred::Eq(Scalar::Col(1), Scalar::Param(1)),
+                Pred::Ne(Scalar::Col(0), Scalar::Col(1)),
+            ]),
+        };
+        let q = PreparedQuery::prepare(&s, compiled.clone()).unwrap();
+        assert_ne!(q.plan(), &compiled, "the conjuncts must move");
+        assert_eq!(q.reads(), compiled.reads());
+        assert_eq!(q.param_slots(), compiled.param_count());
+    }
 }
